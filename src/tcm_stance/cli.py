@@ -169,7 +169,7 @@ def cmd_prep(args: argparse.Namespace) -> int:
             docs.append(doc)
     write_documents(args.out, docs)
     _info(
-        f"prep: {len(raws)} records ({skipped} malformed lines skipped), "
+        f"prep: {len(raws)} records ({skipped} malformed or duplicate lines skipped), "
         f"{len(tweets)} tweets after repost split, {len(docs)} documents kept, "
         f"{dropped} dropped (ads or empty)"
     )
@@ -283,7 +283,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cfg=cfg.train_config(),
         k=cfg.k_folds,
         seed=cfg.seed,
-        gamma_min=cfg.gamma_min,
         leaky_selection=cfg.leaky_selection,
     )
     text = _metrics_csv_text(rows)

@@ -94,18 +94,24 @@ def _parse_chain(obj: object) -> RawTweet:
 def load_tweets(path: str | Path) -> tuple[list[RawTweet], int]:
     """Read a tweets.jsonl file.
 
-    Returns the well-formed records in file order plus a count of malformed
-    lines that were skipped.  An unreadable file raises OSError.
+    Returns the well-formed records in file order plus a count of skipped
+    lines: malformed ones (invalid UTF-8 included) and repeats of an id
+    already read.  An unreadable file raises OSError.
     """
     raws: list[RawTweet] = []
+    seen: set[str] = set()
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
             try:
-                raws.append(_parse_chain(json.loads(line)))
+                text = line.decode("utf-8").strip()
+                if not text:
+                    continue
+                raw = _parse_chain(json.loads(text))
+                if raw.id in seen:
+                    raise ValueError("duplicate id")
+                seen.add(raw.id)
+                raws.append(raw)
             except (ValueError, TypeError):
                 skipped += 1
     return raws, skipped
@@ -115,13 +121,13 @@ def load_users(path: str | Path) -> tuple[list[UserProfile], int]:
     """Read a users.jsonl file; returns (profiles, skipped line count)."""
     users: list[UserProfile] = []
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
             try:
-                obj = json.loads(line)
+                text = line.decode("utf-8").strip()
+                if not text:
+                    continue
+                obj = json.loads(text)
                 if not isinstance(obj, dict):
                     raise ValueError("user record must be a JSON object")
                 uid = obj.get("user_id")

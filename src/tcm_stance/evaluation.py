@@ -1,10 +1,10 @@
 """Scoring, stratified cross-validation, per-user consistency adjustment and
 parameter sweeps.
 
-Cross-validation selects features inside each training fold (the leaky
-variant, selecting once on the full corpus, exists behind a flag for
-comparison runs only).  The pooled out-of-fold predictions are kept so the
-per-user adjustment can be evaluated on exactly the same prediction set.
+Cross-validation and every sweep axis run one fold plan: the stratified
+splits plus each training fold's chi-square ranking (the leaky variant ranks
+once on the full corpus, for comparison runs only).  The pooled out-of-fold
+predictions are kept so the per-user adjustment is scored on exactly them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Sequence
 
-from .features import collect_stats, select_features, vectorize
+from .features import FeatureSet, SelectedTerm, collect_stats, select_features, vectorize
 from .stance import Stance
 from .supervision import LabeledDataset
 from .svm import TrainConfig, predict, train
@@ -112,8 +112,48 @@ class CVResult:
     golds: dict[str, Stance]              # tweet_id -> gold label
 
 
-def _label_to_y(stance: Stance) -> int:
-    return 1 if stance is Stance.SUPPORTING else -1
+_Fold = tuple[list[int], list[int], tuple[SelectedTerm, ...]]
+
+
+def _fold_plan(
+    dataset: LabeledDataset, max_k: int, k: int, seed: int, leaky_selection: bool
+) -> list[_Fold]:
+    """Stratified (train, test) splits, each with its training fold's
+    chi-square ranking cut at max_k.  The K-prefix of a ranking is exactly
+    the top-K selection, since ``select_features`` sorts by (-score, term)."""
+    splits = stratified_kfold(dataset, k, seed)
+    if leaky_selection:
+        shared = select_features(collect_stats(dataset), max_k).terms
+        return [(train_idx, test_idx, shared) for train_idx, test_idx in splits]
+    docs = dataset.documents
+    return [
+        (train_idx, test_idx, select_features(
+            collect_stats(LabeledDataset(tuple(docs[i] for i in train_idx), dataset.users)), max_k
+        ).terms)
+        for train_idx, test_idx in splits
+    ]
+
+
+def _run_plan(
+    dataset: LabeledDataset, plan: list[_Fold], feature_count: int, cfg: TrainConfig
+) -> CVResult:
+    """Pooled out-of-fold predictions at one (K, training config)."""
+    docs = dataset.documents
+    predictions: list[Prediction] = []
+    pairs: list[tuple[Stance, Stance]] = []
+    golds: dict[str, Stance] = {}
+    for train_idx, test_idx, ranking in plan:
+        fs = FeatureSet(ranking[:feature_count])
+        data = [(vectorize(docs[i], fs), 1 if docs[i].label is Stance.SUPPORTING else -1)
+                for i in train_idx]
+        model = train(data, cfg, n_features=len(fs))
+        for i in test_idx:
+            doc = docs[i]
+            stance, _margin = predict(model, vectorize(doc, fs))
+            predictions.append(Prediction(doc.user_id, doc.tweet_id, stance))
+            pairs.append((doc.label, stance))
+            golds[doc.tweet_id] = doc.label
+    return CVResult(compute_metrics(pairs), tuple(predictions), golds)
 
 
 def cross_validate(
@@ -125,32 +165,9 @@ def cross_validate(
     seed: int | None = None,
     leaky_selection: bool = False,
 ) -> CVResult:
-    fold_seed = cfg.seed if seed is None else seed
-    splits = stratified_kfold(dataset, k, fold_seed)
-    docs = dataset.documents
-    shared_fs = None
-    if leaky_selection:
-        shared_fs = select_features(collect_stats(dataset), feature_count)
-    predictions: list[Prediction] = []
-    pairs: list[tuple[Stance, Stance]] = []
-    golds: dict[str, Stance] = {}
-    for train_idx, test_idx in splits:
-        train_docs = tuple(docs[i] for i in train_idx)
-        if shared_fs is not None:
-            fs = shared_fs
-        else:
-            fold_set = LabeledDataset(train_docs, dataset.users)
-            fs = select_features(collect_stats(fold_set), feature_count)
-        digest = fs.digest()
-        data = [(vectorize(d, fs), _label_to_y(d.label)) for d in train_docs]
-        model = train(data, cfg, n_features=len(fs), feature_set_digest=digest)
-        for i in test_idx:
-            doc = docs[i]
-            stance, _margin = predict(model, vectorize(doc, fs))
-            predictions.append(Prediction(doc.user_id, doc.tweet_id, stance))
-            pairs.append((doc.label, stance))
-            golds[doc.tweet_id] = doc.label
-    return CVResult(compute_metrics(pairs), tuple(predictions), golds)
+    plan = _fold_plan(dataset, feature_count, k, cfg.seed if seed is None else seed,
+                      leaky_selection)
+    return _run_plan(dataset, plan, feature_count, cfg)
 
 
 def gamma_of(count_support: int, count_oppose: int) -> float:
@@ -198,15 +215,13 @@ def sweep(
     cfg: TrainConfig | None = None,
     k: int = 5,
     seed: int | None = None,
-    gamma_min: float = 0.5,
     leaky_selection: bool = False,
 ) -> list[tuple[float, MetricsReport]]:
     """One metrics row per value, rows ordered by value ascending.
 
-    feature_count and wi rows are fresh cross-validations at that setting and
-    score the raw classifier (no per-user adjustment).  gamma_min rows come
-    from a single cross-validation whose pooled predictions are re-adjusted
-    at each threshold.
+    All rows share one fold plan.  feature_count and wi rows run it at that
+    setting and score the raw classifier (no per-user adjustment); gamma_min
+    rows re-adjust one run's pooled predictions at each threshold.
     """
     cfg = cfg or TrainConfig()
     if axis not in SWEEP_AXES:
@@ -214,42 +229,24 @@ def sweep(
     if not values:
         raise ValueError("values must be non-empty")
     vals = sorted(values)
-    rows: list[tuple[float, MetricsReport]] = []
-    if axis == "gamma_min":
-        for v in vals:
-            if not 0.5 <= v <= 1.0:
-                raise ValueError("gamma_min values must be in [0.5, 1.0]")
-        result = cross_validate(
-            dataset, feature_count, cfg, k, seed=seed, leaky_selection=leaky_selection
-        )
-        for v in vals:
-            adjusted = adjust(result.predictions, v)
-            pairs = [(result.golds[p.tweet_id], p.stance) for p in adjusted]
-            rows.append((v, compute_metrics(pairs)))
-    elif axis == "wi":
-        for v in vals:
-            if not 0 < v <= 1:
-                raise ValueError("wi values must be in (0, 1]")
-        for v in vals:
-            result = cross_validate(
-                dataset,
-                feature_count,
-                replace(cfg, wi=v),
-                k,
-                seed=seed,
-                leaky_selection=leaky_selection,
-            )
-            rows.append((v, result.report))
-    else:
-        for v in vals:
-            if v < 1 or int(v) != v:
-                raise ValueError("feature_count values must be positive integers")
-        for v in vals:
-            result = cross_validate(
-                dataset, int(v), cfg, k, seed=seed, leaky_selection=leaky_selection
-            )
-            rows.append((float(v), result.report))
-    return rows
+    for v in vals:
+        if axis == "gamma_min" and not 0.5 <= v <= 1.0:
+            raise ValueError("gamma_min values must be in [0.5, 1.0]")
+        if axis == "wi" and not 0 < v <= 1:
+            raise ValueError("wi values must be in (0, 1]")
+        if axis == "feature_count" and (v < 1 or int(v) != v):
+            raise ValueError("feature_count values must be positive integers")
+    max_k = int(vals[-1]) if axis == "feature_count" else feature_count
+    plan = _fold_plan(dataset, max_k, k, cfg.seed if seed is None else seed, leaky_selection)
+    if axis == "feature_count":
+        return [(float(v), _run_plan(dataset, plan, int(v), cfg).report) for v in vals]
+    if axis == "wi":
+        return [(v, _run_plan(dataset, plan, feature_count, replace(cfg, wi=v)).report)
+                for v in vals]
+    result = _run_plan(dataset, plan, feature_count, cfg)
+    return [(v, compute_metrics([(result.golds[p.tweet_id], p.stance)
+                                 for p in adjust(result.predictions, v)]))
+            for v in vals]
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,6 @@ from typing import Sequence
 from .features import SparseVector
 from .stance import Stance
 
-LABEL_MAP: dict[int, Stance] = {1: Stance.SUPPORTING, -1: Stance.OPPOSING}
-
 _MODEL_HEADER = "stance-svm v1"
 
 
@@ -72,7 +70,6 @@ class Model:
     weights: tuple[float, ...]
     feature_set_digest: str
     train_meta: TrainMeta
-    label_map: tuple[tuple[int, str], ...] = ((1, "support"), (-1, "oppose"))
 
     @property
     def n_features(self) -> int:
@@ -242,7 +239,7 @@ def predict(
     margin = w[-1]
     for j, v in zip(x.indices, x.values):
         margin += w[j] * v
-    stance = LABEL_MAP[-1] if margin < 0.0 else LABEL_MAP[1]
+    stance = Stance.OPPOSING if margin < 0.0 else Stance.SUPPORTING
     return stance, margin
 
 

@@ -1,14 +1,20 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written in the most literal style available (explicit
-2x2 contingency tables, brute-force grid enumeration with numpy) so that a
-mistake in these oracles is unlikely to correlate with a mistake in the
-optimized pure-Python code under test.
+2x2 contingency tables, brute-force grid enumeration with numpy, a fresh
+cross-validation per setting) so that a mistake in these oracles is unlikely
+to correlate with a mistake in the optimized code under test.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from tcm_stance.evaluation import CVResult, Prediction, compute_metrics, stratified_kfold
+from tcm_stance.features import collect_stats, select_features, vectorize
+from tcm_stance.stance import Stance
+from tcm_stance.supervision import LabeledDataset
+from tcm_stance.svm import TrainConfig, predict, train
 
 
 def chi2_from_table(a: int, b: int, c: int, d: int) -> float:
@@ -57,3 +63,26 @@ def grid_min_dual(points, labels, c: float, wi: float, step: float,
     a = np.stack([m.ravel() for m in mesh], axis=1)
     vals = 0.5 * np.einsum("ni,ij,nj->n", a, q, a) - a.sum(axis=1)
     return float(vals.min())
+
+
+def reference_cross_validate(dataset: LabeledDataset, feature_count: int, cfg: TrainConfig,
+                             k: int, seed: int, leaky_selection: bool = False) -> CVResult:
+    """k-fold CV that rebuilds the splits and selects top-K features afresh
+    on every training fold (or once on the whole dataset when leaky)."""
+    docs = dataset.documents
+    splits = stratified_kfold(dataset, k, seed)
+    whole = select_features(collect_stats(dataset), feature_count) if leaky_selection else None
+    predictions, pairs, golds = [], [], {}
+    for train_idx, test_idx in splits:
+        train_docs = tuple(docs[i] for i in train_idx)
+        fs = whole if leaky_selection else select_features(
+            collect_stats(LabeledDataset(train_docs, dataset.users)), feature_count)
+        data = [(vectorize(d, fs), 1 if d.label is Stance.SUPPORTING else -1)
+                for d in train_docs]
+        model = train(data, cfg, n_features=len(fs))
+        for i in test_idx:
+            stance, _margin = predict(model, vectorize(docs[i], fs))
+            predictions.append(Prediction(docs[i].user_id, docs[i].tweet_id, stance))
+            pairs.append((docs[i].label, stance))
+            golds[docs[i].tweet_id] = docs[i].label
+    return CVResult(compute_metrics(pairs), tuple(predictions), golds)

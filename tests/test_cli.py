@@ -91,6 +91,17 @@ def test_prep_emits_readable_documents(pipeline):
     assert all(d.label is None for d in docs)
 
 
+def test_prep_skips_an_invalid_utf8_line(tmp_path, capsys):
+    tweets = tmp_path / "tweets.jsonl"
+    good = [f'{{"id":"t{i}","user_id":"u1","text":"针灸有效","created_at":"2013-05-17T12:00:00"}}'
+            .encode("utf-8") for i in range(3)]
+    bad = b'{"id":"t9","user_id":"u1","text":"\xff\xfe","created_at":"2013-05-17T12:00:00"}'
+    tweets.write_bytes(b"\n".join([good[0], bad, good[1], good[2]]) + b"\n")
+    assert main(["prep", "--tweets", str(tweets), "--out", str(tmp_path / "docs.jsonl")]) == 0
+    assert "(1 malformed or duplicate lines skipped)" in capsys.readouterr().err
+    assert [d.tweet_id for d in read_documents(tmp_path / "docs.jsonl")] == ["t0", "t1", "t2"]
+
+
 def test_label_splits_and_labels(pipeline, default_resources):
     from tcm_stance.corpus import load_users
     from tcm_stance.supervision import user_stance

@@ -40,11 +40,11 @@ def write_jsonl(path, objs):
                     encoding="utf-8")
 
 
-def chain(depth: int) -> RawTweet:
-    """A repost chain with `depth` nested originals under the root c0."""
+def chain(depth: int, prefix: str = "c") -> RawTweet:
+    """A repost chain with `depth` nested originals under the root <prefix>0."""
     node = None
     for k in range(depth, -1, -1):
-        node = RawTweet(f"c{k}", f"u{k}", f"text{k}", TS, node)
+        node = RawTweet(f"{prefix}{k}", f"u{k}", f"text{k}", TS, node)
     return node
 
 
@@ -109,13 +109,42 @@ def test_load_tweets_rejects_absurd_nesting(tmp_path):
     assert skipped == 1
 
 
+def test_load_tweets_skips_and_counts_invalid_utf8(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    good = [json.dumps(tweet_obj(tid=f"t{i}"), ensure_ascii=False).encode("utf-8")
+            for i in range(3)]
+    bad = json.dumps(tweet_obj(tid="bad", text="中医XX"), ensure_ascii=False).encode("utf-8")
+    lines = [good[0], bad.replace(b"XX", b"\xff\xfe"), good[1], good[2]]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    raws, skipped = load_tweets(path)
+    assert [r.id for r in raws] == ["t0", "t1", "t2"]
+    assert skipped == 1
+
+
+def test_load_tweets_keeps_the_first_record_of_a_repeated_id(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    write_jsonl(path, [
+        tweet_obj(tid="t1", text="第一"),
+        tweet_obj(tid="t2"),
+        tweet_obj(tid="t1", text="第二", retweet=tweet_obj(tid="t9")),
+        tweet_obj(tid="t3"),
+        tweet_obj(tid="t2"),
+    ])
+    raws, skipped = load_tweets(path)
+    assert [r.id for r in raws] == ["t1", "t2", "t3"]
+    assert raws[0].text == "第一"
+    assert skipped == 2
+    ids = [t.id for t in split_retweets(raws)]
+    assert len(ids) == len(set(ids))
+
+
 def test_load_tweets_missing_file_raises(tmp_path):
     with pytest.raises(OSError):
         load_tweets(tmp_path / "absent.jsonl")
 
 
 def test_tweets_jsonl_round_trip(tmp_path):
-    raws = [chain(2), chain(0), RawTweet("x", "u", "中文 text", TS)]
+    raws = [chain(2), chain(0, "d"), RawTweet("x", "u", "中文 text", TS)]
     path = tmp_path / "tweets.jsonl"
     write_tweets_jsonl(path, raws)
     loaded, skipped = load_tweets(path)
@@ -163,6 +192,16 @@ def test_load_users_counts_malformed(tmp_path):
     users, skipped = load_users(path)
     assert [u.user_id for u in users] == ["u1"]
     assert skipped == 4
+
+
+def test_load_users_skips_and_counts_invalid_utf8(tmp_path):
+    path = tmp_path / "users.jsonl"
+    path.write_bytes(b'{"user_id":"u1","tags":[]}\n'
+                     b'{"user_id":"u2","tags":["\xff\xfe"]}\n'
+                     b'{"user_id":"u3","tags":[]}\n')
+    users, skipped = load_users(path)
+    assert [u.user_id for u in users] == ["u1", "u3"]
+    assert skipped == 1
 
 
 def test_users_jsonl_round_trip(tmp_path):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_dataset, separable_dataset
+from oracles import reference_cross_validate
 from tcm_stance.evaluation import (
     METRICS_CSV_HEADER,
     Prediction,
@@ -264,6 +266,39 @@ def test_sweep_gamma_reuses_one_cross_validation():
     # the 1.0 row only confirms unanimous users, which cannot beat raw output
     assert by_value[1.0].micro_f1 <= by_value[0.5].micro_f1 + 1e-12
     assert by_value[1.0].micro_f1 == pytest.approx(unadjusted.report.micro_f1, abs=1e-12)
+
+
+def noisy_dataset(n_docs: int = 48, vocab: int = 30, seed: int = 3):
+    """Overlapping class vocabularies, so rows differ across K and wi."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n_docs):
+        stance = S if i % 3 else O
+        lean = range(0, 20) if stance is S else range(10, vocab)
+        tokens = {f"w{rng.choice(lean)}" for _ in range(4)} | {f"w{rng.randrange(vocab)}"}
+        rows.append((f"u{i % 12}", sorted(tokens), stance))
+    return make_dataset(rows)
+
+
+@pytest.mark.parametrize("leaky", [False, True])
+def test_one_fold_plan_matches_a_fresh_cross_validation_per_setting(leaky):
+    dataset = noisy_dataset()
+    common = dict(cfg=CV_CFG, k=4, seed=11, leaky_selection=leaky)
+    k_values = [2, 5, 12, 1000]   # 1000 is above the vocabulary
+    k_rows = sweep(dataset, "feature_count", k_values, **common)
+    assert k_rows == [(float(v), reference_cross_validate(dataset, v, CV_CFG, 4, 11, leaky).report)
+                      for v in k_values]
+    assert len({report.micro_f1 for _, report in k_rows}) > 1
+    wi_values = [0.2, 0.6, 1.0]
+    wi_rows = sweep(dataset, "wi", wi_values, feature_count=8, **common)
+    assert wi_rows == [
+        (v, reference_cross_validate(dataset, 8, replace(CV_CFG, wi=v), 4, 11, leaky).report)
+        for v in wi_values
+    ]
+    result = cross_validate(dataset, 8, CV_CFG, k=4, seed=11, leaky_selection=leaky)
+    reference = reference_cross_validate(dataset, 8, CV_CFG, 4, 11, leaky)
+    assert result.predictions == reference.predictions
+    assert result.golds == reference.golds
 
 
 def test_sweep_validates_inputs():
