@@ -9,6 +9,7 @@ author and timestamp.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -18,6 +19,12 @@ TEXT_CLAMP = 280            # repost commentary can double the 140-char post lim
 MAX_CHAIN_DEPTH = 16
 MAX_TAGS = 10
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S"
+# the zero-padded form format_timestamp writes; ASCII digits only, since
+# strptime also reads other Unicode digits and keeps that path
+_CANONICAL_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}")
+# tab, CR and LF would break a line of the predictions TSV; "#" in a
+# top-level id is reserved for split_retweets' "<id>#k" positions
+_TSV_BREAKERS = frozenset("\t\r\n")
 
 # parse-side guard only; the 16-deep business rule is enforced in split_retweets
 _PARSE_DEPTH_CAP = 64
@@ -49,13 +56,19 @@ class UserProfile:
 
 
 def parse_timestamp(value: object) -> datetime:
+    """Read TIMESTAMP_FORMAT.  The canonical zero-padded form takes the fast
+    ``fromisoformat`` path; anything else (unpadded fields, non-ASCII digits)
+    goes to ``strptime``, which accepts and rejects exactly what it always did."""
     if not isinstance(value, str):
         raise ValueError("created_at must be a string")
+    if _CANONICAL_TIMESTAMP.fullmatch(value):
+        return datetime.fromisoformat(value)
     return datetime.strptime(value, TIMESTAMP_FORMAT)
 
 
 def format_timestamp(value: datetime) -> str:
-    return value.strftime(TIMESTAMP_FORMAT)
+    """Zero-padded ``YYYY-MM-DDTHH:MM:SS``, four-digit year included."""
+    return value.isoformat(timespec="seconds")
 
 
 def _parse_chain(obj: object) -> RawTweet:
@@ -78,6 +91,8 @@ def _parse_chain(obj: object) -> RawTweet:
             raise ValueError("missing or empty id")
         if not isinstance(uid, str) or not uid:
             raise ValueError("missing or empty user_id")
+        if not _TSV_BREAKERS.isdisjoint(uid):
+            raise ValueError("user_id contains a tab or line break")
         if not isinstance(text, str):
             raise ValueError("text must be a string")
         built = RawTweet(
@@ -88,6 +103,8 @@ def _parse_chain(obj: object) -> RawTweet:
             retweet=built,
         )
     assert built is not None
+    if "#" in built.id or not _TSV_BREAKERS.isdisjoint(built.id):
+        raise ValueError("id contains '#', a tab or a line break")
     return built
 
 
@@ -95,8 +112,9 @@ def load_tweets(path: str | Path) -> tuple[list[RawTweet], int]:
     """Read a tweets.jsonl file.
 
     Returns the well-formed records in file order plus a count of skipped
-    lines: malformed ones (invalid UTF-8 included) and repeats of an id
-    already read.  An unreadable file raises OSError.
+    lines: malformed ones (invalid UTF-8 included), repeats of an id already
+    read, and records whose id contains "#", a tab, CR or LF or whose chain
+    has a user_id with a tab, CR or LF.  An unreadable file raises OSError.
     """
     raws: list[RawTweet] = []
     seen: set[str] = set()
@@ -153,7 +171,8 @@ def split_retweets(raws: Iterable[RawTweet]) -> list[Tweet]:
     """Flatten repost chains into standalone tweets.
 
     Position k in a chain is emitted with id ``<base id>#k`` (the original
-    keeps its id), so output ids stay unique as long as input ids are.
+    keeps its id), so output ids stay unique as long as input ids are unique
+    and free of "#", which ``load_tweets`` ensures.
     Records nested deeper than MAX_CHAIN_DEPTH are rejected whole.
     """
     tweets: list[Tweet] = []

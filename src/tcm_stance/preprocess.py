@@ -54,21 +54,23 @@ def strip_entities(text: str) -> str:
 
 def segment(text: str, lexicon: TermList) -> list[str]:
     """Forward maximum matching: longest lexicon prefix wins, single character
-    fallback.  Concatenating the tokens reproduces the input exactly."""
+    fallback.  Concatenating the tokens reproduces the input exactly.
+
+    At each position only the lengths the lexicon's first-character table
+    allows are probed: from the longest term starting with that character
+    (capped at MAX_MATCH) down to 2."""
     tokens: list[str] = []
+    longest = lexicon.longest_by_first_char
     i, n = 0, len(text)
-    limit_cap = min(MAX_MATCH, lexicon.max_term_len)
     while i < n:
-        match = None
+        match = text[i]
         # length-1 lookups are skipped: a single-char lexicon hit and the
         # fallback emit the same token either way
-        for length in range(min(limit_cap, n - i), 1, -1):
+        for length in range(min(MAX_MATCH, longest.get(match, 0), n - i), 1, -1):
             cand = text[i:i + length]
             if cand in lexicon:
                 match = cand
                 break
-        if match is None:
-            match = text[i]
         tokens.append(match)
         i += len(match)
     return tokens

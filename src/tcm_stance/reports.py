@@ -24,7 +24,10 @@ class TimeBucket:
 
 
 def _bucket_key(ts: datetime, granularity: str) -> str:
-    return ts.strftime("%Y-%m" if granularity == "month" else "%Y-%m-%d")
+    # zero-padded like _iter_periods' keys, years below 1000 included
+    if granularity == "month":
+        return f"{ts.year:04d}-{ts.month:02d}"
+    return ts.date().isoformat()
 
 
 def _iter_periods(first: str, last: str, granularity: str) -> list[str]:

@@ -28,14 +28,17 @@ class TermList:
 
     def __post_init__(self) -> None:
         seen = set()
+        longest: dict[str, int] = {}  # first character -> longest term length
         for term in self.terms:
             if not isinstance(term, str) or not term or term != term.strip():
                 raise ValueError(f"bad term: {term!r}")
             if term in seen:
                 raise ValueError(f"duplicate term: {term!r}")
             seen.add(term)
+            if len(term) > longest.get(term[0], 0):
+                longest[term[0]] = len(term)
         object.__setattr__(self, "_index", frozenset(self.terms))
-        object.__setattr__(self, "_max_len", max(map(len, self.terms), default=0))
+        object.__setattr__(self, "_longest", longest)
 
     @classmethod
     def of(cls, terms: Iterable[str]) -> "TermList":
@@ -58,7 +61,12 @@ class TermList:
 
     @property
     def max_term_len(self) -> int:
-        return self._max_len  # type: ignore[attr-defined]
+        return max(self._longest.values(), default=0)  # type: ignore[attr-defined]
+
+    @property
+    def longest_by_first_char(self) -> Mapping[str, int]:
+        """Length of the longest term starting with each character."""
+        return self._longest  # type: ignore[attr-defined]
 
     def union(self, other: Iterable[str]) -> "TermList":
         merged = dict.fromkeys(self.terms)

@@ -2,8 +2,9 @@
 
 Everything here is written in the most literal style available (explicit
 2x2 contingency tables, brute-force grid enumeration with numpy, a fresh
-cross-validation per setting) so that a mistake in these oracles is unlikely
-to correlate with a mistake in the optimized code under test.
+cross-validation per setting, a segmenter that probes every length) so that
+a mistake in these oracles is unlikely to correlate with a mistake in the
+optimized code under test.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import numpy as np
 
 from tcm_stance.evaluation import CVResult, Prediction, compute_metrics, stratified_kfold
 from tcm_stance.features import collect_stats, select_features, vectorize
+from tcm_stance.preprocess import MAX_MATCH
+from tcm_stance.resources import TermList
 from tcm_stance.stance import Stance
 from tcm_stance.supervision import LabeledDataset
 from tcm_stance.svm import TrainConfig, predict, train
@@ -86,3 +89,25 @@ def reference_cross_validate(dataset: LabeledDataset, feature_count: int, cfg: T
             pairs.append((docs[i].label, stance))
             golds[docs[i].tweet_id] = docs[i].label
     return CVResult(compute_metrics(pairs), tuple(predictions), golds)
+
+
+def reference_segment(text: str, lexicon: TermList) -> list[str]:
+    """Forward maximum matching that probes every length from the longest
+    lexicon entry (capped at MAX_MATCH) down to 2 at every position."""
+    tokens: list[str] = []
+    i, n = 0, len(text)
+    limit_cap = min(MAX_MATCH, lexicon.max_term_len)
+    while i < n:
+        match = None
+        # length-1 lookups are skipped: a single-char lexicon hit and the
+        # fallback emit the same token either way
+        for length in range(min(limit_cap, n - i), 1, -1):
+            cand = text[i:i + length]
+            if cand in lexicon:
+                match = cand
+                break
+        if match is None:
+            match = text[i]
+        tokens.append(match)
+        i += len(match)
+    return tokens

@@ -102,6 +102,37 @@ def test_prep_skips_an_invalid_utf8_line(tmp_path, capsys):
     assert [d.tweet_id for d in read_documents(tmp_path / "docs.jsonl")] == ["t0", "t1", "t2"]
 
 
+def test_a_year_below_1000_passes_every_stage(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--users-pos", "6", "--users-neg", "4",
+                 "--tweets-min", "3", "--tweets-max", "5", "--seed", "7"]) == 0
+    with open(data / "tweets.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"id":"old","user_id":"nobody","text":"中医针灸有效",'
+                 '"created_at":"0999-01-01T00:00:00"}\n')
+    steps = [
+        ["prep", "--tweets", str(data / "tweets.jsonl"), "--out", str(tmp_path / "docs.jsonl")],
+        ["label", "--docs", str(tmp_path / "docs.jsonl"), "--users", str(data / "users.jsonl"),
+         "--out", str(tmp_path / "labeled.jsonl"), "--remainder", str(tmp_path / "rest.jsonl")],
+        ["train", "--labeled", str(tmp_path / "labeled.jsonl"), "--K", "60",
+         "--model-out", str(tmp_path / "model.txt"),
+         "--features-out", str(tmp_path / "features.tsv")],
+        ["predict", "--docs", str(tmp_path / "rest.jsonl"), "--model", str(tmp_path / "model.txt"),
+         "--features", str(tmp_path / "features.tsv"), "--out", str(tmp_path / "preds.tsv")],
+        ["adjust", "--predictions", str(tmp_path / "preds.tsv"),
+         "--out", str(tmp_path / "adjusted.tsv")],
+        ["report-timeseries", "--predictions", str(tmp_path / "adjusted.tsv"),
+         "--out", str(tmp_path / "ts.csv")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    lines = (tmp_path / "adjusted.tsv").read_text(encoding="utf-8").splitlines()
+    assert [line for line in lines if line.startswith("old\t")][0].startswith(
+        "old\tnobody\t0999-01-01T00:00:00\t")
+    periods = [row[0] for row in read_csv(tmp_path / "ts.csv")[1:]]
+    assert periods[0] == "0999-01"
+    assert periods == sorted(periods) and len(periods) == len(set(periods))
+
+
 def test_label_splits_and_labels(pipeline, default_resources):
     from tcm_stance.corpus import load_users
     from tcm_stance.supervision import user_stance

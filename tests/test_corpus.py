@@ -13,6 +13,7 @@ from tcm_stance.corpus import (
     MAX_CHAIN_DEPTH,
     MAX_TAGS,
     TEXT_CLAMP,
+    TIMESTAMP_FORMAT,
     RawTweet,
     UserProfile,
     dedupe_users,
@@ -51,6 +52,50 @@ def chain(depth: int, prefix: str = "c") -> RawTweet:
 def test_timestamp_round_trip():
     assert parse_timestamp(WIRE_TS) == TS
     assert format_timestamp(TS) == WIRE_TS
+
+
+def strptime_or_error(value: str):
+    try:
+        return datetime.strptime(value, TIMESTAMP_FORMAT)
+    except ValueError:
+        return ValueError
+
+
+def parse_or_error(value: str):
+    try:
+        return parse_timestamp(value)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("value", [
+    "2013-00-17T12:00:00", "2013-13-17T12:00:00",
+    "2013-05-00T12:00:00", "2013-05-32T12:00:00", "2013-02-29T12:00:00",
+    "2012-02-29T12:00:00",
+    "2013-05-17T24:00:00", "2013-05-17T12:60:00",
+    "2013-05-17T12:00:60", "2013-05-17T12:00:61",
+    "0000-01-01T00:00:00", "0001-01-01T00:00:00", "9999-12-31T23:59:59",
+    "2014-3-7T1:2:3", "2014-03-07T01:02:3", "999-01-01T00:00:00",
+    "２０１４-03-07T01:02:03", "2014-０３-07T01:02:03",
+    "2013-05-17 12:00:00", "2013-05-17T12:00:00Z", "2013-05-17T12:00:00\n", "",
+])
+def test_parse_timestamp_matches_strptime(value):
+    assert parse_or_error(value) == strptime_or_error(value)
+
+
+@given(st.from_regex(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}", fullmatch=True))
+def test_parse_timestamp_matches_strptime_on_canonical_shapes(value):
+    assert parse_or_error(value) == strptime_or_error(value)
+
+
+@given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)))
+def test_canonical_timestamps_round_trip_for_every_year(value):
+    value = value.replace(microsecond=0)
+    text = (f"{value.year:04d}-{value.month:02d}-{value.day:02d}T"
+            f"{value.hour:02d}:{value.minute:02d}:{value.second:02d}")
+    assert format_timestamp(value) == text
+    assert parse_timestamp(text) == value
+    assert format_timestamp(parse_timestamp(text)) == text
 
 
 @pytest.mark.parametrize("bad", [123, None, ["2013-05-17T12:00:00"]])
@@ -136,6 +181,35 @@ def test_load_tweets_keeps_the_first_record_of_a_repeated_id(tmp_path):
     assert skipped == 2
     ids = [t.id for t in split_retweets(raws)]
     assert len(ids) == len(set(ids))
+
+
+def test_load_tweets_skips_ids_that_collide_with_repost_positions(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    write_jsonl(path, [
+        tweet_obj(tid="a", retweet=tweet_obj(tid="a0", uid="u0")),
+        tweet_obj(tid="a#1"),
+        tweet_obj(tid="b", retweet=tweet_obj(tid="inner#1", uid="u0")),
+    ])
+    raws, skipped = load_tweets(path)
+    assert [r.id for r in raws] == ["a", "b"]
+    assert skipped == 1
+    ids = [t.id for t in split_retweets(raws)]
+    assert ids == ["a", "a#1", "b", "b#1"]
+
+
+@pytest.mark.parametrize("record", [
+    tweet_obj(tid="b\tc"),
+    tweet_obj(tid="b\nc"),
+    tweet_obj(tid="b\rc"),
+    tweet_obj(uid="u\t1"),
+    tweet_obj(retweet=tweet_obj(tid="t0", uid="u\n0")),
+])
+def test_load_tweets_skips_ids_that_would_break_a_tsv_line(tmp_path, record):
+    path = tmp_path / "tweets.jsonl"
+    write_jsonl(path, [tweet_obj(tid="t0"), record, tweet_obj(tid="t2")])
+    raws, skipped = load_tweets(path)
+    assert [r.id for r in raws] == ["t0", "t2"]
+    assert skipped == 1
 
 
 def test_load_tweets_missing_file_raises(tmp_path):

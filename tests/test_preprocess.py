@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import TS, make_doc, make_resources
+from oracles import reference_segment
 from tcm_stance.corpus import Tweet
 from tcm_stance.preprocess import (
+    MAX_MATCH,
     Document,
     is_advertisement,
     preprocess_tweet,
@@ -92,6 +94,54 @@ def test_segment_concatenation_reproduces_input(text, words):
     tokens = segment(text, lex)
     assert "".join(tokens) == text
     assert all(tokens)
+
+
+@st.composite
+def lexicon_and_text(draw):
+    """A lexicon over few characters, so entries share first characters, with
+    terms from one character to past the MAX_MATCH window; and a text built
+    from whole terms, terms cut short and characters outside the lexicon."""
+    alphabet = "中医药针"
+    term = st.integers(1, MAX_MATCH + 3).flatmap(
+        lambda size: st.text(alphabet=alphabet, min_size=size, max_size=size))
+    terms = draw(st.lists(term, max_size=20))
+    filler = st.text(alphabet=alphabet + "好x，", max_size=3)
+    piece = st.one_of(filler, st.sampled_from(terms)) if terms else filler
+    parts = draw(st.lists(st.tuples(piece, st.integers(1, MAX_MATCH + 3)), max_size=12))
+    return TermList.of(terms), "".join(part[:cut] for part, cut in parts)
+
+
+@given(lexicon_and_text())
+def test_segment_matches_the_probe_every_length_reference(case):
+    lex, text = case
+    assert segment(text, lex) == reference_segment(text, lex)
+
+
+class CountingTermList(TermList):
+    """Counts membership tests, as the benchmark's probe counter does."""
+
+    probes = 0
+
+    def __contains__(self, term):
+        CountingTermList.probes += 1
+        return super().__contains__(term)
+
+
+def count_probes(segmenter, text, lexicon):
+    counting = object.__new__(CountingTermList)
+    counting.__dict__.update(vars(lexicon))
+    CountingTermList.probes = 0
+    tokens = segmenter(text, counting)
+    return tokens, CountingTermList.probes
+
+
+def test_segment_probes_go_through_the_lexicon_and_fewer_than_the_reference(default_resources):
+    lex = default_resources.segment_lexicon
+    text = "我觉得中医针灸很有效，但是马兜铃酸有毒，中药要小心。" * 3
+    tokens, probes = count_probes(segment, text, lex)
+    ref_tokens, ref_probes = count_probes(reference_segment, text, lex)
+    assert tokens == ref_tokens
+    assert 0 < probes < ref_probes
 
 
 def test_remove_stopwords_drops_noise_tokens():

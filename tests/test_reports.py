@@ -41,6 +41,15 @@ def test_timeseries_fills_month_gaps():
     ]
 
 
+def test_timeseries_zero_pads_years_below_1000():
+    items = [(datetime(999, 12, 31, 23), S), (datetime(1000, 1, 1), O)]
+    assert timeseries(items, "month") == [TimeBucket("0999-12", 1, 0), TimeBucket("1000-01", 0, 1)]
+    assert timeseries(items, "day") == [
+        TimeBucket("0999-12-31", 1, 0),
+        TimeBucket("1000-01-01", 0, 1),
+    ]
+
+
 def test_timeseries_day_granularity():
     items = [(datetime(2013, 2, 27), S), (datetime(2013, 3, 1), O)]
     buckets = timeseries(items, "day")

@@ -26,6 +26,14 @@ def test_term_list_of_normalizes():
     assert tl.max_term_len == 2
 
 
+def test_term_list_longest_term_per_first_character():
+    tl = TermList.of(["中医药", "中医", "爱好", "a", "马兜铃酸"])
+    assert tl.longest_by_first_char == {"中": 3, "爱": 2, "a": 1, "马": 4}
+    assert tl.max_term_len == 4
+    assert TermList.of([]).longest_by_first_char == {}
+    assert TermList.of([]).max_term_len == 0
+
+
 def test_term_list_rejects_raw_duplicates_and_blanks():
     with pytest.raises(ValueError):
         TermList(("中医", "中医"))
