@@ -4,7 +4,7 @@ selection, a class-weighted linear SVM and per-user consistency adjustment."""
 
 __version__ = "0.1.0"
 
-from .corpus import RawTweet, Tweet, UserProfile
+from .corpus import Tweet, UserProfile
 from .evaluation import MetricsReport, Prediction, adjust, compute_metrics, cross_validate
 from .features import FeatureSet, SparseVector, TermStats, chi_square, select_features, vectorize
 from .preprocess import Document, preprocess_tweet
@@ -21,7 +21,6 @@ __all__ = [
     "DualSolution",
     "Model",
     "Prediction",
-    "RawTweet",
     "Resources",
     "SparseVector",
     "Stance",

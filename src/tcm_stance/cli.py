@@ -157,8 +157,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_prep(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     resources = cfg.load_resources()
-    raws, skipped = load_tweets(args.tweets)
-    tweets = split_retweets(raws)
+    records, skipped = load_tweets(args.tweets)
+    tweets = split_retweets(records)
     docs = []
     dropped = 0
     for tweet in tweets:
@@ -169,7 +169,7 @@ def cmd_prep(args: argparse.Namespace) -> int:
             docs.append(doc)
     write_documents(args.out, docs)
     _info(
-        f"prep: {len(raws)} records ({skipped} malformed or duplicate lines skipped), "
+        f"prep: {len(records)} records ({skipped} malformed or duplicate lines skipped), "
         f"{len(tweets)} tweets after repost split, {len(docs)} documents kept, "
         f"{dropped} dropped (ads or empty)"
     )
@@ -366,16 +366,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    synth_defaults = SynthConfig()
     p = sub.add_parser("synth", help="generate a synthetic corpus with gold labels")
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--users-pos", type=int, default=187)
-    p.add_argument("--users-neg", type=int, default=29)
-    p.add_argument("--tweets-min", type=int, default=10)
-    p.add_argument("--tweets-max", type=int, default=30)
-    p.add_argument("--signal-strength", type=float, default=0.8)
-    p.add_argument("--tag-noise", type=float, default=0.0)
-    p.add_argument("--label-noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--users-pos", type=int, default=synth_defaults.n_users_pos)
+    p.add_argument("--users-neg", type=int, default=synth_defaults.n_users_neg)
+    p.add_argument("--tweets-min", type=int, default=synth_defaults.tweets_per_user[0])
+    p.add_argument("--tweets-max", type=int, default=synth_defaults.tweets_per_user[1])
+    p.add_argument("--signal-strength", type=float, default=synth_defaults.signal_strength)
+    p.add_argument("--tag-noise", type=float, default=synth_defaults.tag_noise)
+    p.add_argument("--label-noise", type=float, default=synth_defaults.label_noise)
+    p.add_argument("--seed", type=int, default=synth_defaults.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("prep", help="ingest, split reposts and preprocess tweets")

@@ -1,9 +1,9 @@
 """Ingestion of tweets and user profiles from line-oriented JSON files.
 
 A stored post may carry its repost chain as a nested record under the
-"retweet" key.  ``split_retweets`` flattens each chain so that every post,
-original or reposted, becomes one standalone text unit attributed to its own
-author and timestamp.
+"retweet" key.  ``load_tweets`` flattens each chain in one pass so that every
+post, original or reposted, becomes one standalone ``Tweet`` attributed to its
+own author and timestamp; ``split_retweets`` concatenates the records.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 TEXT_CLAMP = 280            # repost commentary can double the 140-char post limit
 MAX_CHAIN_DEPTH = 16
@@ -23,20 +23,8 @@ TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S"
 # strptime also reads other Unicode digits and keeps that path
 _CANONICAL_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}")
 # tab, CR and LF would break a line of the predictions TSV; "#" in a
-# top-level id is reserved for split_retweets' "<id>#k" positions
+# top-level id is reserved for the "<id>#k" ids of repost positions
 _TSV_BREAKERS = frozenset("\t\r\n")
-
-# parse-side guard only; the 16-deep business rule is enforced in split_retweets
-_PARSE_DEPTH_CAP = 64
-
-
-@dataclass(frozen=True)
-class RawTweet:
-    id: str
-    user_id: str
-    text: str
-    created_at: datetime
-    retweet: Optional["RawTweet"] = None
 
 
 @dataclass(frozen=True)
@@ -71,19 +59,19 @@ def format_timestamp(value: datetime) -> str:
     return value.isoformat(timespec="seconds")
 
 
-def _parse_chain(obj: object) -> RawTweet:
-    nodes = []
-    cur = obj
-    while cur is not None:
-        if not isinstance(cur, dict):
-            raise ValueError("tweet record must be a JSON object")
-        nodes.append(cur)
-        if len(nodes) > _PARSE_DEPTH_CAP:
-            raise ValueError("repost chain implausibly deep")
-        cur = cur.get("retweet")
+def _flatten(obj: object) -> tuple[Tweet, ...]:
+    """Check one record node by node and flatten its repost chain, root first.
 
-    built: RawTweet | None = None
-    for node in reversed(nodes):
+    The root keeps its id; position k gets ``<root id>#k``.  A chain nested
+    deeper than MAX_CHAIN_DEPTH raises ValueError like any other bad node.
+    """
+    tweets: list[Tweet] = []
+    node = obj
+    while node is not None:
+        if len(tweets) > MAX_CHAIN_DEPTH:
+            raise ValueError("repost chain deeper than MAX_CHAIN_DEPTH")
+        if not isinstance(node, dict):
+            raise ValueError("tweet record must be a JSON object")
         tid = node.get("id")
         uid = node.get("user_id")
         text = node.get("text")
@@ -95,28 +83,26 @@ def _parse_chain(obj: object) -> RawTweet:
             raise ValueError("user_id contains a tab or line break")
         if not isinstance(text, str):
             raise ValueError("text must be a string")
-        built = RawTweet(
-            id=tid,
-            user_id=uid,
-            text=text[:TEXT_CLAMP],
-            created_at=parse_timestamp(node.get("created_at")),
-            retweet=built,
-        )
-    assert built is not None
-    if "#" in built.id or not _TSV_BREAKERS.isdisjoint(built.id):
-        raise ValueError("id contains '#', a tab or a line break")
-    return built
+        if tweets:
+            tid = f"{tweets[0].id}#{len(tweets)}"
+        elif "#" in tid or not _TSV_BREAKERS.isdisjoint(tid):
+            raise ValueError("id contains '#', a tab or a line break")
+        tweets.append(Tweet(tid, uid, text[:TEXT_CLAMP], parse_timestamp(node.get("created_at"))))
+        node = node.get("retweet")
+    return tuple(tweets)
 
 
-def load_tweets(path: str | Path) -> tuple[list[RawTweet], int]:
+def load_tweets(path: str | Path) -> tuple[list[tuple[Tweet, ...]], int]:
     """Read a tweets.jsonl file.
 
-    Returns the well-formed records in file order plus a count of skipped
-    lines: malformed ones (invalid UTF-8 included), repeats of an id already
-    read, and records whose id contains "#", a tab, CR or LF or whose chain
-    has a user_id with a tab, CR or LF.  An unreadable file raises OSError.
+    Returns one record per kept line in file order, each its flattened repost
+    chain with the root first, plus a count of skipped lines: malformed ones
+    (invalid UTF-8 and JSON nested too deep to parse included), chains deeper
+    than MAX_CHAIN_DEPTH, repeats of a root id already kept, and records whose
+    id contains "#", a tab, CR or LF or whose chain has a user_id with a tab,
+    CR or LF.  An unreadable file raises OSError.
     """
-    raws: list[RawTweet] = []
+    records: list[tuple[Tweet, ...]] = []
     seen: set[str] = set()
     skipped = 0
     with open(path, "rb") as fh:
@@ -125,14 +111,14 @@ def load_tweets(path: str | Path) -> tuple[list[RawTweet], int]:
                 text = line.decode("utf-8").strip()
                 if not text:
                     continue
-                raw = _parse_chain(json.loads(text))
-                if raw.id in seen:
+                record = _flatten(json.loads(text))
+                if record[0].id in seen:
                     raise ValueError("duplicate id")
-                seen.add(raw.id)
-                raws.append(raw)
-            except (ValueError, TypeError):
+                seen.add(record[0].id)
+                records.append(record)
+            except (ValueError, TypeError, RecursionError):
                 skipped += 1
-    return raws, skipped
+    return records, skipped
 
 
 def load_users(path: str | Path) -> tuple[list[UserProfile], int]:
@@ -162,32 +148,14 @@ def load_users(path: str | Path) -> tuple[list[UserProfile], int]:
                     if tag:
                         tags.append(tag)
                 users.append(UserProfile(uid, tuple(tags[:MAX_TAGS])))
-            except (ValueError, TypeError):
+            except (ValueError, TypeError, RecursionError):
                 skipped += 1
     return users, skipped
 
 
-def split_retweets(raws: Iterable[RawTweet]) -> list[Tweet]:
-    """Flatten repost chains into standalone tweets.
-
-    Position k in a chain is emitted with id ``<base id>#k`` (the original
-    keeps its id), so output ids stay unique as long as input ids are unique
-    and free of "#", which ``load_tweets`` ensures.
-    Records nested deeper than MAX_CHAIN_DEPTH are rejected whole.
-    """
-    tweets: list[Tweet] = []
-    for raw in raws:
-        chain = []
-        node: RawTweet | None = raw
-        while node is not None and len(chain) <= MAX_CHAIN_DEPTH + 1:
-            chain.append(node)
-            node = node.retweet
-        if len(chain) - 1 > MAX_CHAIN_DEPTH:
-            continue
-        for pos, entry in enumerate(chain):
-            tid = raw.id if pos == 0 else f"{raw.id}#{pos}"
-            tweets.append(Tweet(tid, entry.user_id, entry.text, entry.created_at))
-    return tweets
+def split_retweets(records: Iterable[tuple[Tweet, ...]]) -> list[Tweet]:
+    """Concatenate flattened records into one list of standalone tweets."""
+    return [tweet for record in records for tweet in record]
 
 
 def dedupe_users(users: Iterable[UserProfile]) -> list[UserProfile]:
@@ -204,26 +172,26 @@ def dedupe_users(users: Iterable[UserProfile]) -> list[UserProfile]:
 # ---------------------------------------------------------------------------
 # serialization helpers (used by the synthetic generator and the CLI)
 
-def raw_tweet_to_obj(raw: RawTweet) -> dict:
-    obj: dict = {
-        "id": raw.id,
-        "user_id": raw.user_id,
-        "text": raw.text,
-        "created_at": format_timestamp(raw.created_at),
-    }
-    if raw.retweet is not None:
-        obj["retweet"] = raw_tweet_to_obj(raw.retweet)
-    return obj
-
-
 def user_to_obj(user: UserProfile) -> dict:
     return {"user_id": user.user_id, "tags": list(user.tags)}
 
 
-def write_tweets_jsonl(path: str | Path, raws: Iterable[RawTweet]) -> None:
+def write_tweets_jsonl(path: str | Path, records: Iterable[tuple[Tweet, ...]]) -> None:
+    """Write each record as one line, its tail nested under "retweet"."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for raw in raws:
-            fh.write(json.dumps(raw_tweet_to_obj(raw), ensure_ascii=False, separators=(",", ":")))
+        for record in records:
+            obj = None
+            for tweet in reversed(record):
+                node: dict = {
+                    "id": tweet.id,
+                    "user_id": tweet.user_id,
+                    "text": tweet.text,
+                    "created_at": format_timestamp(tweet.created_at),
+                }
+                if obj is not None:
+                    node["retweet"] = obj
+                obj = node
+            fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
 
 

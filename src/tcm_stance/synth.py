@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
-from .corpus import RawTweet, UserProfile, write_tweets_jsonl, write_users_jsonl
+from .corpus import Tweet, UserProfile, write_tweets_jsonl, write_users_jsonl
 from .resources import SEARCH_TAGS_PATH, DEFAULT_PATHS, load_tag_lexicon, load_term_list
 from .stance import Stance
 
@@ -87,7 +87,7 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SynthCorpus:
-    tweets: tuple[RawTweet, ...]
+    tweets: tuple[tuple[Tweet, ...], ...]  # one record per post, no reposts
     users: tuple[UserProfile, ...]
     gold: dict[str, Stance]  # tweet id -> author's gold stance
 
@@ -117,7 +117,7 @@ def generate(cfg: SynthConfig) -> SynthCorpus:
     neutral_tags = list(load_term_list(SEARCH_TAGS_PATH))
 
     users: list[UserProfile] = []
-    tweets: list[RawTweet] = []
+    tweets: list[tuple[Tweet, ...]] = []
     gold: dict[str, Stance] = {}
     tweet_no = 0
     plan = [
@@ -147,7 +147,7 @@ def generate(cfg: SynthConfig) -> SynthCorpus:
                     tokens += rng.sample(pool, rng.randint(1, min(3, len(pool))))
                 rng.shuffle(tokens)
                 text = "，".join(tokens)
-                tweets.append(RawTweet(tid, uid, text, _random_timestamp(rng, cfg)))
+                tweets.append((Tweet(tid, uid, text, _random_timestamp(rng, cfg)),))
                 gold[tid] = stance
     return SynthCorpus(tuple(tweets), tuple(users), gold)
 

@@ -7,6 +7,7 @@ ordinary desktop machine.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from datetime import datetime
@@ -25,7 +26,7 @@ from tcm_stance.evaluation import (
     stratified_kfold,
     sweep,
 )
-from tcm_stance.corpus import RawTweet, split_retweets
+from tcm_stance.corpus import load_tweets, split_retweets
 from tcm_stance.features import (
     SparseVector,
     TermStats,
@@ -211,7 +212,7 @@ def test_consistency_adjustment_never_hurts(announce):
     )
 
 
-def test_randomized_invariants_hold(announce):
+def test_randomized_invariants_hold(announce, tmp_path):
     rng = random.Random(31415)
     t0 = time.perf_counter()
     cases = 0
@@ -292,18 +293,22 @@ def test_randomized_invariants_hold(announce):
             assert abs(pos - n_pos / k) < 1.0
         cases += 1
 
-    base_ts = datetime(2013, 3, 1)
+    base_ts = datetime(2013, 3, 1).isoformat()
+    chains_path = tmp_path / "chains.jsonl"
     for _ in range(100):
-        raws = []
+        lines = []
         expected = 0
         for b in range(rng.randint(1, 5)):
             node = None
             depth = rng.randint(0, 6)
             for j in range(depth, -1, -1):
-                node = RawTweet(f"r{b}x{j}", f"u{j}", f"tx{j}", base_ts, node)
-            raws.append(node)
+                node = {"id": f"r{b}x{j}", "user_id": f"u{j}", "text": f"tx{j}",
+                        "created_at": base_ts, "retweet": node}
+            lines.append(json.dumps(node) + "\n")
             expected += depth + 1
-        tweets = split_retweets(raws)
+        chains_path.write_text("".join(lines), encoding="utf-8")
+        records, _ = load_tweets(chains_path)
+        tweets = split_retweets(records)
         assert len(tweets) == expected
         ids = [t.id for t in tweets]
         assert len(set(ids)) == len(ids)

@@ -20,6 +20,7 @@ from tcm_stance.config import PipelineConfig, build_config, parse_config_file
 from tcm_stance.preprocess import read_documents, write_documents
 from tcm_stance.stance import Stance
 from tcm_stance.svm import load_model
+from tcm_stance.synth import SynthConfig, generate, write_corpus
 
 
 def read_csv(path: Path) -> list[list[str]]:
@@ -100,6 +101,13 @@ def test_prep_skips_an_invalid_utf8_line(tmp_path, capsys):
     assert main(["prep", "--tweets", str(tweets), "--out", str(tmp_path / "docs.jsonl")]) == 0
     assert "(1 malformed or duplicate lines skipped)" in capsys.readouterr().err
     assert [d.tweet_id for d in read_documents(tmp_path / "docs.jsonl")] == ["t0", "t1", "t2"]
+
+
+def test_synth_without_tuning_flags_writes_the_default_corpus(tmp_path):
+    assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
+    expected = write_corpus(generate(SynthConfig()), tmp_path / "lib")
+    for path in expected.values():
+        assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_a_year_below_1000_passes_every_stage(tmp_path):

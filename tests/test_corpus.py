@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from datetime import datetime
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcm_stance.cli import main
 from tcm_stance.corpus import (
     MAX_CHAIN_DEPTH,
     MAX_TAGS,
     TEXT_CLAMP,
     TIMESTAMP_FORMAT,
-    RawTweet,
+    Tweet,
     UserProfile,
     dedupe_users,
     format_timestamp,
@@ -41,12 +44,21 @@ def write_jsonl(path, objs):
                     encoding="utf-8")
 
 
-def chain(depth: int, prefix: str = "c") -> RawTweet:
-    """A repost chain with `depth` nested originals under the root <prefix>0."""
-    node = None
+def chain_obj(depth: int, prefix: str = "c") -> dict:
+    """A stored repost chain: `depth` nested originals under the root <prefix>0."""
+    obj = None
     for k in range(depth, -1, -1):
-        node = RawTweet(f"{prefix}{k}", f"u{k}", f"text{k}", TS, node)
-    return node
+        node = tweet_obj(tid=f"{prefix}{k}", uid=f"u{k}", text=f"text{k}")
+        if obj is not None:
+            node["retweet"] = obj
+        obj = node
+    return obj
+
+
+def chain(depth: int, prefix: str = "c") -> tuple[Tweet, ...]:
+    """The record `chain_obj(depth, prefix)` flattens to."""
+    return tuple(Tweet(f"{prefix}0" if k == 0 else f"{prefix}0#{k}", f"u{k}", f"text{k}", TS)
+                 for k in range(depth + 1))
 
 
 def test_timestamp_round_trip():
@@ -116,17 +128,17 @@ def test_load_tweets_keeps_order_and_counts_malformed(tmp_path):
         json.dumps(tweet_obj(tid="t2")),
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    raws, skipped = load_tweets(path)
-    assert [r.id for r in raws] == ["t1", "t2"]
+    records, skipped = load_tweets(path)
+    assert [r[0].id for r in records] == ["t1", "t2"]
     assert skipped == 4
 
 
 def test_load_tweets_clamps_long_text(tmp_path):
     path = tmp_path / "tweets.jsonl"
     write_jsonl(path, [tweet_obj(text="医" * (TEXT_CLAMP + 25))])
-    raws, skipped = load_tweets(path)
+    records, skipped = load_tweets(path)
     assert skipped == 0
-    assert len(raws[0].text) == TEXT_CLAMP
+    assert len(records[0][0].text) == TEXT_CLAMP
 
 
 def test_load_tweets_parses_nested_repost(tmp_path):
@@ -134,13 +146,9 @@ def test_load_tweets_parses_nested_repost(tmp_path):
     outer = tweet_obj(tid="t1", uid="u1", text="转发", retweet=inner)
     path = tmp_path / "tweets.jsonl"
     write_jsonl(path, [outer])
-    raws, skipped = load_tweets(path)
+    records, skipped = load_tweets(path)
     assert skipped == 0
-    assert raws[0].id == "t1"
-    assert raws[0].retweet is not None
-    assert raws[0].retweet.id == "t0"
-    assert raws[0].retweet.text == "原文"
-    assert raws[0].retweet.retweet is None
+    assert records == [(Tweet("t1", "u1", "转发", TS), Tweet("t1#1", "u0", "原文", TS))]
 
 
 def test_load_tweets_rejects_absurd_nesting(tmp_path):
@@ -149,8 +157,8 @@ def test_load_tweets_rejects_absurd_nesting(tmp_path):
         obj = tweet_obj(tid=f"deep{k}", retweet=obj)
     path = tmp_path / "tweets.jsonl"
     write_jsonl(path, [obj, tweet_obj(tid="ok")])
-    raws, skipped = load_tweets(path)
-    assert [r.id for r in raws] == ["ok"]
+    records, skipped = load_tweets(path)
+    assert [r[0].id for r in records] == ["ok"]
     assert skipped == 1
 
 
@@ -161,8 +169,8 @@ def test_load_tweets_skips_and_counts_invalid_utf8(tmp_path):
     bad = json.dumps(tweet_obj(tid="bad", text="中医XX"), ensure_ascii=False).encode("utf-8")
     lines = [good[0], bad.replace(b"XX", b"\xff\xfe"), good[1], good[2]]
     path.write_bytes(b"\n".join(lines) + b"\n")
-    raws, skipped = load_tweets(path)
-    assert [r.id for r in raws] == ["t0", "t1", "t2"]
+    records, skipped = load_tweets(path)
+    assert [r[0].id for r in records] == ["t0", "t1", "t2"]
     assert skipped == 1
 
 
@@ -175,11 +183,11 @@ def test_load_tweets_keeps_the_first_record_of_a_repeated_id(tmp_path):
         tweet_obj(tid="t3"),
         tweet_obj(tid="t2"),
     ])
-    raws, skipped = load_tweets(path)
-    assert [r.id for r in raws] == ["t1", "t2", "t3"]
-    assert raws[0].text == "第一"
+    records, skipped = load_tweets(path)
+    assert [r[0].id for r in records] == ["t1", "t2", "t3"]
+    assert records[0][0].text == "第一"
     assert skipped == 2
-    ids = [t.id for t in split_retweets(raws)]
+    ids = [t.id for t in split_retweets(records)]
     assert len(ids) == len(set(ids))
 
 
@@ -190,10 +198,10 @@ def test_load_tweets_skips_ids_that_collide_with_repost_positions(tmp_path):
         tweet_obj(tid="a#1"),
         tweet_obj(tid="b", retweet=tweet_obj(tid="inner#1", uid="u0")),
     ])
-    raws, skipped = load_tweets(path)
-    assert [r.id for r in raws] == ["a", "b"]
+    records, skipped = load_tweets(path)
+    assert [r[0].id for r in records] == ["a", "b"]
     assert skipped == 1
-    ids = [t.id for t in split_retweets(raws)]
+    ids = [t.id for t in split_retweets(records)]
     assert ids == ["a", "a#1", "b", "b#1"]
 
 
@@ -207,8 +215,8 @@ def test_load_tweets_skips_ids_that_collide_with_repost_positions(tmp_path):
 def test_load_tweets_skips_ids_that_would_break_a_tsv_line(tmp_path, record):
     path = tmp_path / "tweets.jsonl"
     write_jsonl(path, [tweet_obj(tid="t0"), record, tweet_obj(tid="t2")])
-    raws, skipped = load_tweets(path)
-    assert [r.id for r in raws] == ["t0", "t2"]
+    records, skipped = load_tweets(path)
+    assert [r[0].id for r in records] == ["t0", "t2"]
     assert skipped == 1
 
 
@@ -218,17 +226,17 @@ def test_load_tweets_missing_file_raises(tmp_path):
 
 
 def test_tweets_jsonl_round_trip(tmp_path):
-    raws = [chain(2), chain(0, "d"), RawTweet("x", "u", "中文 text", TS)]
+    records = [chain(2), chain(0, "d"), (Tweet("x", "u", "中文 text", TS),)]
     path = tmp_path / "tweets.jsonl"
-    write_tweets_jsonl(path, raws)
+    write_tweets_jsonl(path, records)
     loaded, skipped = load_tweets(path)
     assert skipped == 0
-    assert loaded == raws
+    assert loaded == records
 
 
 def test_tweets_jsonl_is_not_ascii_escaped(tmp_path):
     path = tmp_path / "tweets.jsonl"
-    write_tweets_jsonl(path, [RawTweet("x", "u", "中医", TS)])
+    write_tweets_jsonl(path, [(Tweet("x", "u", "中医", TS),)])
     assert "中医" in path.read_text(encoding="utf-8")
 
 
@@ -287,45 +295,122 @@ def test_users_jsonl_round_trip(tmp_path):
     assert loaded == users
 
 
-def test_split_plain_tweet_is_identity():
-    raw = RawTweet("t9", "u9", "  保留  空白　", TS)
-    tweets = split_retweets([raw])
-    assert len(tweets) == 1
-    assert tweets[0].id == "t9"
-    assert tweets[0].user_id == "u9"
-    assert tweets[0].text == "  保留  空白　"
-    assert tweets[0].created_at == TS
+def test_split_plain_tweet_is_identity(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    write_jsonl(path, [tweet_obj(tid="t9", uid="u9", text="  保留  空白　")])
+    records, _ = load_tweets(path)
+    tweets = split_retweets(records)
+    assert tweets == [Tweet("t9", "u9", "  保留  空白　", TS)]
 
 
-def test_split_chain_ids_positions_and_texts():
-    tweets = split_retweets([chain(2)])
+def test_split_chain_ids_positions_and_texts(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    write_jsonl(path, [chain_obj(2)])
+    records, _ = load_tweets(path)
+    tweets = split_retweets(records)
     assert [t.id for t in tweets] == ["c0", "c0#1", "c0#2"]
     assert [t.user_id for t in tweets] == ["u0", "u1", "u2"]
     assert [t.text for t in tweets] == ["text0", "text1", "text2"]
 
 
-def test_split_depth_limit_boundary():
-    assert len(split_retweets([chain(MAX_CHAIN_DEPTH)])) == MAX_CHAIN_DEPTH + 1
-    assert split_retweets([chain(MAX_CHAIN_DEPTH + 1)]) == []
+def test_split_depth_limit_boundary(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    write_jsonl(path, [chain_obj(MAX_CHAIN_DEPTH)])
+    records, skipped = load_tweets(path)
+    assert skipped == 0
+    assert records == [chain(MAX_CHAIN_DEPTH)]
+    assert len(split_retweets(records)) == MAX_CHAIN_DEPTH + 1 == 17
+    write_jsonl(path, [chain_obj(MAX_CHAIN_DEPTH + 1)])
+    assert load_tweets(path) == ([], 1)
 
 
-def test_split_skips_only_the_offending_record():
-    tweets = split_retweets([chain(MAX_CHAIN_DEPTH + 1), RawTweet("ok", "u", "x", TS)])
-    assert [t.id for t in tweets] == ["ok"]
+def test_split_skips_only_the_offending_record(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    write_jsonl(path, [tweet_obj(tid="a"), chain_obj(MAX_CHAIN_DEPTH + 1),
+                       tweet_obj(tid="ok"), chain_obj(1, "d")])
+    records, skipped = load_tweets(path)
+    assert skipped == 1
+    assert [t.id for t in split_retweets(records)] == ["a", "ok", "d0", "d0#1"]
+
+
+def test_a_depth_rejected_record_does_not_reserve_its_id(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    write_jsonl(path, [chain_obj(MAX_CHAIN_DEPTH + 1, "x"), chain_obj(1, "x")])
+    records, skipped = load_tweets(path)
+    assert skipped == 1
+    assert records == [chain(1, "x")]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=8))
 def test_split_conserves_posts_and_keeps_ids_unique(depths):
-    raws = []
+    objs = []
     for i, depth in enumerate(depths):
-        node = None
-        for k in range(depth, -1, -1):
-            node = RawTweet(f"b{i}n{k}", f"u{k}", f"x{k}", TS, node)
-        raws.append(RawTweet(f"base{i}", f"au{i}", "root", TS, node))
-    tweets = split_retweets(raws)
+        objs.append(tweet_obj(tid=f"base{i}", uid=f"au{i}", text="root",
+                              retweet=chain_obj(depth, f"b{i}n")))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_jsonl(Path(tmp) / "tweets.jsonl", objs)
+        records, skipped = load_tweets(Path(tmp) / "tweets.jsonl")
+    assert skipped == 0
+    tweets = split_retweets(records)
     assert len(tweets) == sum(d + 2 for d in depths)
     ids = [t.id for t in tweets]
     assert len(set(ids)) == len(ids)
+
+
+def test_json_nested_too_deep_to_parse_is_skipped_and_counted(tmp_path):
+    deep = b'{"a":' * 200_000
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_bytes(json.dumps(tweet_obj(tid="t0")).encode() + b"\n" + deep + b"\n"
+                       + json.dumps(tweet_obj(tid="t1")).encode() + b"\n")
+    records, skipped = load_tweets(tweets)
+    assert [r[0].id for r in records] == ["t0", "t1"]
+    assert skipped == 1
+    users = tmp_path / "users.jsonl"
+    users.write_bytes(b'{"user_id":"u1"}\n' + deep + b'\n{"user_id":"u2"}\n')
+    profiles, skipped = load_users(users)
+    assert [u.user_id for u in profiles] == ["u1", "u2"]
+    assert skipped == 1
+    assert main(["prep", "--tweets", str(tweets), "--out", str(tmp_path / "docs.jsonl")]) == 0
+
+
+def _chain_line(root: str, uid: str, depth: int) -> bytes:
+    obj = chain_obj(depth, "n")
+    obj.update(id=root, user_id=uid)
+    return json.dumps(obj, ensure_ascii=False).encode("utf-8")
+
+
+_ROOT_IDS = st.sampled_from(["a", "b", "c", "a#1", "b\tc", "c\rd", "d\ne", "中"])
+_USER_IDS = st.sampled_from(["u1", "u2", "u\t3"])
+_CHAIN_LINES = st.builds(_chain_line, _ROOT_IDS, _USER_IDS, st.integers(0, MAX_CHAIN_DEPTH + 4))
+
+
+@st.composite
+def _truncated_lines(draw) -> bytes:
+    line = draw(_CHAIN_LINES)
+    return line[:draw(st.integers(1, len(line) - 1))]
+
+
+_HOSTILE_LINES = st.one_of(
+    _CHAIN_LINES,
+    _truncated_lines(),
+    st.binary(max_size=40).map(lambda b: b"\xff" + b.replace(b"\n", b"")),  # never UTF-8
+    st.just(b"  "),
+)
+
+
+@settings(max_examples=30)
+@given(st.lists(_HOSTILE_LINES, max_size=12))
+def test_ingest_and_prep_survive_hostile_lines(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tweets.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        records, skipped = load_tweets(path)
+        assert len(records) + skipped == sum(1 for line in lines if line.strip())
+        assert all(len(record) <= MAX_CHAIN_DEPTH + 1 for record in records)
+        ids = [t.id for t in split_retweets(records)]
+        assert len(ids) == len(set(ids))
+        assert not any(set(tid) & {"\t", "\r", "\n"} for tid in ids)
+        assert main(["prep", "--tweets", str(path), "--out", str(Path(tmp) / "docs.jsonl")]) == 0
 
 
 def test_dedupe_users_merges_in_first_seen_order():

@@ -33,20 +33,20 @@ def test_corpus_shape():
     neg = [u for u in corpus.users if u.user_id.startswith("uo")]
     assert len(pos) == 12
     assert len(neg) == 5
+    assert all(len(record) == 1 for record in corpus.tweets)
     per_user: dict[str, int] = {}
-    for t in corpus.tweets:
-        assert t.retweet is None
+    for t in split_retweets(corpus.tweets):
         per_user[t.user_id] = per_user.get(t.user_id, 0) + 1
     assert set(per_user) == {u.user_id for u in corpus.users}
     assert all(3 <= n <= 6 for n in per_user.values())
-    assert set(corpus.gold) == {t.id for t in corpus.tweets}
+    assert set(corpus.gold) == {t.id for t in split_retweets(corpus.tweets)}
 
 
 def test_timestamps_stay_in_the_window():
     corpus = generate(SMALL)
     lo = datetime(2013, 1, 1)
     hi = datetime(2013, 4, 1)
-    for t in corpus.tweets:
+    for t in split_retweets(corpus.tweets):
         assert lo <= t.created_at < hi
 
 
@@ -54,7 +54,7 @@ def test_gold_matches_the_author_class_even_with_label_noise():
     noisy = SynthConfig(n_users_pos=8, n_users_neg=4, tweets_per_user=(2, 4),
                         months=2, label_noise=0.5, seed=7)
     corpus = generate(noisy)
-    for t in corpus.tweets:
+    for t in split_retweets(corpus.tweets):
         expected = Stance.SUPPORTING if t.user_id.startswith("us") else Stance.OPPOSING
         assert corpus.gold[t.id] is expected
 
