@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+from dataclasses import fields
 from datetime import datetime
 from pathlib import Path
 from typing import Sequence
 
 from . import evaluation, reports, svm, synth
-from .config import PipelineConfig, build_config, parse_config_file
+from .config import KEY_PARSERS, PipelineConfig, build_config, parse_bool, parse_config_file
 from .corpus import (
     dedupe_users,
     format_timestamp,
@@ -40,32 +41,21 @@ def _info(message: str) -> None:
 # shared config plumbing
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per PipelineConfig field: ``--<name with _ written as ->``."""
     parser.add_argument("--config", type=Path, default=None, help="flat key = value config file")
-    parser.add_argument("--K", type=int, default=None, help="feature count (default 3000)")
-    parser.add_argument("--C", type=float, default=None, help="SVM cost (default 1.0)")
-    parser.add_argument("--wi", type=float, default=None, help="majority class cost factor (default 0.9)")
-    parser.add_argument("--gamma-min", type=float, default=None, dest="gamma_min",
-                        help="consistency threshold (default 0.5)")
-    parser.add_argument("--k-folds", type=int, default=None, dest="k_folds")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--leaky-selection", action="store_const", const=True, default=None,
-                        dest="leaky_selection",
-                        help="select features on the full corpus before splitting (comparison runs only)")
-    for key in ("segmentation-lexicon", "terminology-lexicon", "stopword-list",
-                "ad-keywords", "char-map", "tag-lexicon"):
-        parser.add_argument(f"--{key}", type=Path, default=None, dest=key.replace("-", "_"))
-
-
-_CONFIG_KEYS = (
-    "segmentation_lexicon", "terminology_lexicon", "stopword_list", "ad_keywords",
-    "char_map", "tag_lexicon", "K", "C", "wi", "gamma_min", "k_folds", "seed",
-    "leaky_selection",
-)
+    for f in fields(PipelineConfig):
+        flag = "--" + f.name.replace("_", "-")
+        text = " ".join(filter(None, (f.metadata.get("help"), f"(default {f.default})")))
+        kwargs = {"dest": f.name, "default": None, "help": text.replace("%", "%%")}
+        if KEY_PARSERS[f.name] is parse_bool:
+            parser.add_argument(flag, action="store_const", const=True, **kwargs)
+        else:
+            parser.add_argument(flag, type=KEY_PARSERS[f.name], **kwargs)
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     file_values = parse_config_file(args.config) if args.config else None
-    overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    overrides = {key: getattr(args, key, None) for key in KEY_PARSERS}
     return build_config(file_values, overrides)
 
 

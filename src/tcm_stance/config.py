@@ -1,13 +1,18 @@
 """Pipeline configuration: defaults, flat ``key = value`` config files and
-command-line overrides (flags win over the file, the file over defaults)."""
+command-line overrides (flags win over the file, the file over defaults).
+
+The fields of ``PipelineConfig`` are the one list of settings: config keys,
+their value parsers and the CLI flags are all derived from them.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping, get_type_hints
 
 from . import resources
+from .features import DEFAULT_FEATURE_COUNT
 from .resources import Resources
 from .svm import TrainConfig
 
@@ -20,21 +25,19 @@ class PipelineConfig:
     ad_keywords: Path = resources.DEFAULT_PATHS["ad_keywords"]
     char_map: Path = resources.DEFAULT_PATHS["char_map"]
     tag_lexicon: Path = resources.DEFAULT_PATHS["tag_lexicon"]
-    K: int = 3000
-    C: float = 1.0
-    wi: float = 0.9
-    gamma_min: float = 0.5
+    K: int = field(default=DEFAULT_FEATURE_COUNT, metadata={"help": "feature count"})
+    C: float = field(default=TrainConfig.C, metadata={"help": "SVM cost"})
+    wi: float = field(default=TrainConfig.wi, metadata={"help": "majority class cost factor"})
+    gamma_min: float = field(default=0.5, metadata={"help": "consistency threshold"})
     k_folds: int = 5
-    seed: int = 42
-    leaky_selection: bool = False
+    seed: int = TrainConfig.seed
+    leaky_selection: bool = field(default=False, metadata={
+        "help": "select features on the full corpus before splitting (comparison runs only)"})
 
     def __post_init__(self) -> None:
         if self.K < 1:
             raise ValueError("K must be at least 1")
-        if not self.C > 0:
-            raise ValueError("C must be positive")
-        if not 0 < self.wi <= 1:
-            raise ValueError("wi must be in (0, 1]")
+        self.train_config()  # checks C and wi
         if not 0.5 <= self.gamma_min <= 1.0:
             raise ValueError("gamma_min must be in [0.5, 1.0]")
         if self.k_folds < 2:
@@ -43,50 +46,11 @@ class PipelineConfig:
     def train_config(self) -> TrainConfig:
         return TrainConfig(C=self.C, wi=self.wi, seed=self.seed)
 
-    def resource_paths(self) -> dict[str, Path]:
-        return {
-            "segmentation_lexicon": self.segmentation_lexicon,
-            "terminology_lexicon": self.terminology_lexicon,
-            "stopword_list": self.stopword_list,
-            "ad_keywords": self.ad_keywords,
-            "char_map": self.char_map,
-            "tag_lexicon": self.tag_lexicon,
-        }
-
     def load_resources(self) -> Resources:
-        return resources.load_resources(self.resource_paths())
+        return resources.load_resources({key: getattr(self, key) for key in resources.DEFAULT_PATHS})
 
 
-_PATH_KEYS = {
-    "segmentation_lexicon",
-    "terminology_lexicon",
-    "stopword_list",
-    "ad_keywords",
-    "char_map",
-    "tag_lexicon",
-}
-_VALID_KEYS = {f.name for f in fields(PipelineConfig)}
-
-
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read a flat ``key = value`` file; # starts a comment line."""
-    values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _VALID_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value
-    return values
-
-
-def _parse_bool(value: str) -> bool:
+def parse_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
@@ -95,16 +59,29 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def _convert(key: str, value: str) -> object:
-    if key in _PATH_KEYS:
-        return Path(value)
-    if key in ("K", "k_folds", "seed"):
-        return int(value)
-    if key in ("C", "wi", "gamma_min"):
-        return float(value)
-    if key == "leaky_selection":
-        return _parse_bool(value)
-    raise ValueError(f"unknown config key {key!r}")
+# config key -> parser of its value text, by the field's type
+KEY_PARSERS: dict[str, Callable[[str], object]] = {
+    key: {Path: Path, int: int, float: float, bool: parse_bool}[hint]
+    for key, hint in get_type_hints(PipelineConfig).items()
+}
+
+
+def parse_config_file(path: str | Path) -> dict[str, str]:
+    """Read a flat ``key = value`` file; # starts a comment line."""
+    values: dict[str, str] = {}
+    text = Path(path).read_text(encoding="utf-8-sig")
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in KEY_PARSERS:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value
+    return values
 
 
 def build_config(
@@ -113,11 +90,16 @@ def build_config(
 ) -> PipelineConfig:
     kwargs: dict[str, object] = {}
     for key, raw in (file_values or {}).items():
-        kwargs[key] = _convert(key, raw)
+        if key not in KEY_PARSERS:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            kwargs[key] = KEY_PARSERS[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from exc
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _VALID_KEYS:
+        if key not in KEY_PARSERS:
             raise ValueError(f"unknown config key {key!r}")
         kwargs[key] = value
     return PipelineConfig(**kwargs)  # type: ignore[arg-type]

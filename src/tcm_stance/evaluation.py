@@ -14,7 +14,14 @@ import random
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Sequence
 
-from .features import FeatureSet, SelectedTerm, collect_stats, select_features, vectorize
+from .features import (
+    DEFAULT_FEATURE_COUNT,
+    FeatureSet,
+    SelectedTerm,
+    collect_stats,
+    select_features,
+    vectorize,
+)
 from .stance import Stance
 from .supervision import LabeledDataset
 from .svm import TrainConfig, predict, train
@@ -211,7 +218,7 @@ def sweep(
     axis: str,
     values: Sequence[float],
     *,
-    feature_count: int = 3000,
+    feature_count: int = DEFAULT_FEATURE_COUNT,
     cfg: TrainConfig | None = None,
     k: int = 5,
     seed: int | None = None,

@@ -87,7 +87,7 @@ def _read_lines(path: str | Path) -> list[str]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ResourceFormatError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
-    return text.splitlines()
+    return text.removeprefix("\ufeff").splitlines()  # a leading BOM is not part of the text
 
 
 def _data_rows(path: str | Path) -> Iterator[tuple[int, str]]:

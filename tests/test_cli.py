@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from datetime import datetime
 from pathlib import Path
 
@@ -11,6 +13,8 @@ import pytest
 
 from conftest import TS, make_doc
 from tcm_stance.cli import (
+    _resolve_config,
+    build_parser,
     main,
     parse_sweep_values,
     read_predictions_tsv,
@@ -303,6 +307,75 @@ def test_pipeline_config_validation():
         PipelineConfig(gamma_min=0.4)
     with pytest.raises(ValueError):
         PipelineConfig(k_folds=1)
+    with pytest.raises(ValueError, match=r"^C must be positive$"):
+        PipelineConfig(C=0)
+    with pytest.raises(ValueError, match=r"^wi must be in \(0, 1\]$"):
+        PipelineConfig(wi=1.5)
+
+
+def test_a_config_value_that_does_not_parse_names_its_key(tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"^config key 'K': invalid literal for int"):
+        build_config({"K": "abc"})
+    with pytest.raises(ValueError, match=r"^config key 'leaky_selection': not a boolean"):
+        build_config({"leaky_selection": "maybe"})
+    cfg_path = tmp_path / "pipeline.cfg"
+    cfg_path.write_text("K = abc\n", encoding="utf-8")
+    rc = main(["train", "--labeled", str(tmp_path / "absent.jsonl"),
+               "--model-out", str(tmp_path / "m.txt"), "--features-out", str(tmp_path / "f.tsv"),
+               "--config", str(cfg_path)])
+    assert rc == 1
+    assert "error: config key 'K':" in capsys.readouterr().err
+
+
+def test_config_file_ignores_a_leading_byte_order_mark(tmp_path):
+    cfg_path = tmp_path / "pipeline.cfg"
+    cfg_path.write_text("\ufeffK = 10\nseed = 3\n", encoding="utf-8")
+    assert parse_config_file(cfg_path) == {"K": "10", "seed": "3"}
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return dict(action.choices)
+
+
+def _non_default(f, tmp_path) -> object:
+    """A valid value of field f other than its default."""
+    if isinstance(f.default, bool):
+        return not f.default
+    if isinstance(f.default, int):
+        return f.default + 1
+    if isinstance(f.default, float):
+        return (f.default + 1) / 2 if f.default < 1 else f.default / 2
+    return tmp_path / f"my {f.name} #1.txt"
+
+
+@pytest.mark.parametrize("f", fields(PipelineConfig), ids=lambda f: f.name)
+def test_every_setting_is_a_config_key_and_a_flag(f, tmp_path):
+    value = _non_default(f, tmp_path)
+    cfg_path = tmp_path / "pipeline.cfg"
+    cfg_path.write_text(f"{f.name} = {value}\n", encoding="utf-8")
+    flag = ["--" + f.name.replace("_", "-")]
+    if not isinstance(value, bool):
+        flag.append(str(value))
+    base = ["cv", "--labeled", "in.jsonl", "--out", "out.csv"]
+    from_file = _resolve_config(build_parser().parse_args(base + ["--config", str(cfg_path)]))
+    from_flag = _resolve_config(build_parser().parse_args(base + flag))
+    assert getattr(from_file, f.name) == value
+    assert from_file == from_flag != PipelineConfig()
+
+
+def test_every_subcommand_prints_help(monkeypatch, capsys):
+    for f in fields(PipelineConfig):  # a % in a default must not break the help text
+        if isinstance(f.default, Path):
+            monkeypatch.setattr(f, "default", f.default.with_name("100%_" + f.default.name))
+    for name in _subcommands():
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0, name
+        out = capsys.readouterr().out
+        if "--K" in out:
+            assert "(default 3000)" in out and "100%_" in out, name
 
 
 def test_predictions_tsv_round_trip(tmp_path):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from tcm_stance.config import PipelineConfig, build_config, parse_config_file
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -13,3 +15,11 @@ def test_python_api_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
     assert 0.9 < float(capsys.readouterr().out) <= 1.0
+
+
+def test_config_example_parses(tmp_path):
+    section = README.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.DOTALL).group(1)
+    path = tmp_path / "pipeline.cfg"
+    path.write_text(block, encoding="utf-8")
+    assert build_config(parse_config_file(path)) == PipelineConfig()

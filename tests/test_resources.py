@@ -61,6 +61,17 @@ def test_load_term_list_rejects_bad_encoding(tmp_path):
         load_term_list(path)
 
 
+def test_load_term_list_ignores_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "terms.txt"
+    path.write_text("\ufeff中医\n爱好\n", encoding="utf-8")
+    terms = load_term_list(path)
+    assert tuple(terms) == ("中医", "爱好")
+    assert "中医" in terms
+    path.write_bytes("\ufeff中医\n".encode("utf-8") + b"\xff\n")
+    with pytest.raises(ResourceFormatError, match="byte offset 10$"):
+        load_term_list(path)
+
+
 def test_load_tag_lexicon(tmp_path):
     path = tmp_path / "tags.tsv"
     path.write_text("中医爱好\tsupport\n反中医\toppose\n中医爱好\tsupport\n", encoding="utf-8")
