@@ -149,19 +149,21 @@ def cmd_prep(args: argparse.Namespace) -> int:
     resources = cfg.load_resources()
     records, skipped = load_tweets(args.tweets)
     tweets = split_retweets(records)
-    docs = []
-    dropped = 0
-    for tweet in tweets:
-        doc = preprocess_tweet(tweet, resources)
-        if doc is None:
-            dropped += 1
-        else:
-            docs.append(doc)
-    write_documents(args.out, docs)
+    kept = 0
+
+    def kept_docs():  # streamed to the writer, so no list of documents is held
+        nonlocal kept
+        for tweet in tweets:
+            doc = preprocess_tweet(tweet, resources)
+            if doc is not None:
+                kept += 1
+                yield doc
+
+    write_documents(args.out, kept_docs())
     _info(
         f"prep: {len(records)} records ({skipped} malformed or duplicate lines skipped), "
-        f"{len(tweets)} tweets after repost split, {len(docs)} documents kept, "
-        f"{dropped} dropped (ads or empty)"
+        f"{len(tweets)} tweets after repost split, {kept} documents kept, "
+        f"{len(tweets) - kept} dropped (ads or empty)"
     )
     return 0
 

@@ -67,10 +67,11 @@ KEY_PARSERS: dict[str, Callable[[str], object]] = {
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read a flat ``key = value`` file; # starts a comment line."""
+    """Read a flat ``key = value`` file; # starts a comment line.  Each key
+    may appear once."""
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8-sig")
-    for lineno, line in enumerate(text.splitlines(), 1):
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(resources.read_lines(path), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -80,6 +81,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if key not in KEY_PARSERS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(
+                f"{path}:{lineno}: config key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = value
     return values
 

@@ -205,7 +205,7 @@ def adjust(predictions: Sequence[Prediction], gamma_min: float) -> list[Predicti
         if gamma > 0.5 and gamma >= gamma_min:
             majority[uid] = Stance.SUPPORTING if c_s > c_o else Stance.OPPOSING
     return [
-        replace(p, stance=majority[p.user_id]) if p.user_id in majority else p
+        Prediction(p.user_id, p.tweet_id, majority[p.user_id]) if p.user_id in majority else p
         for p in predictions
     ]
 

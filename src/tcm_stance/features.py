@@ -13,6 +13,7 @@ the classes swapped, so one score per term is enough for a binary problem.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,10 +132,10 @@ class SparseVector:
             object.__setattr__(self, "values", (1.0,) * len(self.indices))
         if len(self.values) != len(self.indices):
             raise ValueError("indices and values length mismatch")
-        for prev, cur in zip(self.indices, self.indices[1:]):
-            if cur <= prev:
-                raise ValueError("indices must be strictly increasing")
-        if any(i < 0 for i in self.indices):
+        idx = self.indices
+        if not all(map(operator.lt, idx, idx[1:])):
+            raise ValueError("indices must be strictly increasing")
+        if idx and idx[0] < 0:  # the smallest, once increasing
             raise ValueError("indices must be non-negative")
 
 

@@ -3,16 +3,18 @@ segmentation, stopword removal and advertisement filtering."""
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .corpus import Tweet, format_timestamp, parse_timestamp
-from .resources import CharMap, Resources, TermList
+from .resources import Resources, TermList
 from .stance import Stance
 
 MAX_MATCH = 8  # longest lexicon entry the segmenter will consider
@@ -36,8 +38,10 @@ class Document:
     label: Optional[Stance] = None
 
 
-def to_simplified(text: str, char_map: CharMap) -> str:
-    return "".join(char_map.get(ch, ch) for ch in text)
+def to_simplified(text: str, table: Mapping[int, str]) -> str:
+    """Map characters through a ``str.maketrans`` table of the char map
+    (``Resources.simplify_table``)."""
+    return text.translate(table)
 
 
 def strip_entities(text: str) -> str:
@@ -60,29 +64,39 @@ def segment(text: str, lexicon: TermList) -> list[str]:
     allows are probed: from the longest term starting with that character
     (capped at MAX_MATCH) down to 2."""
     tokens: list[str] = []
-    longest = lexicon.longest_by_first_char
+    append = tokens.append
+    longest = lexicon.longest_by_first_char.get
+    contains = lexicon.__contains__
     i, n = 0, len(text)
     while i < n:
         match = text[i]
         # length-1 lookups are skipped: a single-char lexicon hit and the
         # fallback emit the same token either way
-        for length in range(min(MAX_MATCH, longest.get(match, 0), n - i), 1, -1):
-            cand = text[i:i + length]
-            if cand in lexicon:
-                match = cand
-                break
-        tokens.append(match)
+        top = longest(match, 0)
+        if top > 1:
+            for length in range(min(MAX_MATCH, top, n - i), 1, -1):
+                cand = text[i:i + length]
+                if contains(cand):
+                    match = cand
+                    break
+        append(match)
         i += len(match)
     return tokens
 
 
+# Memoised, since the answer depends on the token string alone.  Segmenter
+# output is lexicon entries and single characters, so the working set is at
+# most the segmentation lexicon plus the input's distinct characters;
+# maxsize caps the cache for any other caller.
+@functools.lru_cache(maxsize=1 << 16)
 def _is_noise_token(token: str) -> bool:
     # pure punctuation/symbols or pure whitespace (incl. control chars)
     return all(unicodedata.category(ch)[0] in "PSZC" for ch in token)
 
 
 def remove_stopwords(tokens: Iterable[str], stoplist: TermList) -> list[str]:
-    return [t for t in tokens if t not in stoplist and not _is_noise_token(t)]
+    is_stopword = stoplist.__contains__
+    return [t for t in tokens if not (is_stopword(t) or _is_noise_token(t))]
 
 
 def is_advertisement(tokens: Iterable[str], adlist: TermList) -> bool:
@@ -91,7 +105,7 @@ def is_advertisement(tokens: Iterable[str], adlist: TermList) -> bool:
 
 def preprocess_tweet(tweet: Tweet, resources: Resources) -> Optional[Document]:
     """Full pipeline for one tweet; None when filtered out (ad or empty)."""
-    text = to_simplified(tweet.text, resources.char_map)
+    text = to_simplified(tweet.text, resources.simplify_table)
     text = strip_entities(text)
     tokens = segment(text, resources.segment_lexicon)
     tokens = remove_stopwords(tokens, resources.stopwords)
@@ -125,7 +139,8 @@ def document_from_obj(obj: object) -> Document:
         raise ValueError("missing or empty tweet_id")
     if not isinstance(user_id, str) or not user_id:
         raise ValueError("missing or empty user_id")
-    if not isinstance(tokens, list) or not all(isinstance(t, str) and t for t in tokens):
+    if (not isinstance(tokens, list) or not all(map(isinstance, tokens, repeat(str)))
+            or "" in tokens):
         raise ValueError("tokens must be a list of non-empty strings")
     label = obj.get("label")
     return Document(
@@ -137,10 +152,14 @@ def document_from_obj(obj: object) -> Document:
     )
 
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def write_documents(path: str | Path, docs: Iterable[Document]) -> None:
+    encode = _ENCODER.encode
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for doc in docs:
-            fh.write(json.dumps(document_to_obj(doc), ensure_ascii=False, separators=(",", ":")))
+            fh.write(encode(document_to_obj(doc)))
             fh.write("\n")
 
 
@@ -159,4 +178,4 @@ def read_documents(path: str | Path) -> list[Document]:
 
 
 def relabel(doc: Document, label: Optional[Stance]) -> Document:
-    return replace(doc, label=label)
+    return Document(doc.tweet_id, doc.user_id, doc.created_at, doc.tokens, label)

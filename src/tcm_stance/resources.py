@@ -9,7 +9,7 @@ larger files of the same format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -81,7 +81,8 @@ TagLexicon = dict[str, Stance]
 CharMap = dict[str, str]
 
 
-def _read_lines(path: str | Path) -> list[str]:
+def read_lines(path: str | Path) -> list[str]:
+    """Lines of a UTF-8 text file; invalid UTF-8 is reported with its byte offset."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -92,7 +93,7 @@ def _read_lines(path: str | Path) -> list[str]:
 
 def _data_rows(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line number, stripped line), skipping blanks and # comments."""
-    for lineno, line in enumerate(_read_lines(path), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -160,7 +161,8 @@ class Resources:
     ``segment_lexicon`` is the segmentation word list merged with the
     terminology, stopword and advertisement lists: multi-character entries of
     those lists can only be recognized downstream if the segmenter emits them
-    as whole tokens.
+    as whole tokens.  ``simplify_table`` is ``char_map`` as a
+    ``str.translate`` table, derived at construction.
     """
 
     char_map: CharMap
@@ -169,6 +171,10 @@ class Resources:
     ad_keywords: TermList
     terminology: TermList
     tag_lexicon: TagLexicon
+    simplify_table: dict[int, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "simplify_table", str.maketrans(self.char_map))
 
 
 def load_resources(paths: Mapping[str, str | Path] | None = None) -> Resources:

@@ -12,10 +12,10 @@ class Stance(enum.Enum):
     @classmethod
     def from_wire(cls, word: str) -> "Stance":
         """Parse the on-disk spelling ("support" / "oppose")."""
-        for stance in cls:
-            if stance.value == word:
-                return stance
-        raise ValueError(f"unknown stance word: {word!r}")
+        try:
+            return _BY_WIRE[word]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown stance word: {word!r}") from None
 
     @property
     def wire(self) -> str:
@@ -23,3 +23,6 @@ class Stance(enum.Enum):
 
     def other(self) -> "Stance":
         return Stance.OPPOSING if self is Stance.SUPPORTING else Stance.SUPPORTING
+
+
+_BY_WIRE = {stance.value: stance for stance in Stance}

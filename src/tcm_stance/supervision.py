@@ -21,8 +21,9 @@ MIN_TOPIC_TERMS = 2  # distinct terminology hits required to count as on-topic
 
 def is_tcm_topic(doc: Document, terminology: TermList) -> bool:
     hits = set()
+    is_term = terminology.__contains__
     for token in doc.tokens:
-        if token in terminology:
+        if is_term(token):
             hits.add(token)
             if len(hits) >= MIN_TOPIC_TERMS:
                 return True

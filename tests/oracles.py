@@ -9,12 +9,15 @@ optimized code under test.
 
 from __future__ import annotations
 
+import unicodedata
+from typing import Iterable
+
 import numpy as np
 
 from tcm_stance.evaluation import CVResult, Prediction, compute_metrics, stratified_kfold
 from tcm_stance.features import collect_stats, select_features, vectorize
 from tcm_stance.preprocess import MAX_MATCH
-from tcm_stance.resources import TermList
+from tcm_stance.resources import CharMap, TermList
 from tcm_stance.stance import Stance
 from tcm_stance.supervision import LabeledDataset
 from tcm_stance.svm import TrainConfig, predict, train
@@ -111,3 +114,18 @@ def reference_segment(text: str, lexicon: TermList) -> list[str]:
         tokens.append(match)
         i += len(match)
     return tokens
+
+
+def reference_to_simplified(text: str, char_map: CharMap) -> str:
+    """Character-by-character map lookup."""
+    return "".join(char_map.get(ch, ch) for ch in text)
+
+
+def reference_is_noise_token(token: str) -> bool:
+    # pure punctuation/symbols or pure whitespace (incl. control chars)
+    return all(unicodedata.category(ch)[0] in "PSZC" for ch in token)
+
+
+def reference_remove_stopwords(tokens: Iterable[str], stoplist: TermList) -> list[str]:
+    """Stopword and noise test made afresh for every token."""
+    return [t for t in tokens if t not in stoplist and not reference_is_noise_token(t)]

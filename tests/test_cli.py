@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from datetime import datetime
@@ -21,7 +22,8 @@ from tcm_stance.cli import (
     write_predictions_tsv,
 )
 from tcm_stance.config import PipelineConfig, build_config, parse_config_file
-from tcm_stance.preprocess import read_documents, write_documents
+from tcm_stance.corpus import load_tweets, split_retweets
+from tcm_stance.preprocess import preprocess_tweet, read_documents, write_documents
 from tcm_stance.stance import Stance
 from tcm_stance.svm import load_model
 from tcm_stance.synth import SynthConfig, generate, write_corpus
@@ -94,6 +96,32 @@ def test_prep_emits_readable_documents(pipeline):
     assert docs
     assert all(d.tokens for d in docs)
     assert all(d.label is None for d in docs)
+
+
+def test_prep_streams_the_documents_it_would_have_listed(pipeline, tmp_path, capsys):
+    tweets = tmp_path / "tweets.jsonl"
+    extra = [{"id": "ad", "text": "中医促销", "user_id": "u1", "created_at": "2013-05-17T12:00:00"},
+             {"id": "empty", "text": "转发微博", "user_id": "u1",
+              "created_at": "2013-05-17T12:00:00"}]
+    tweets.write_bytes((pipeline["data"] / "tweets.jsonl").read_bytes() + b"{broken\n"
+                       + "".join(json.dumps(o, ensure_ascii=False) + "\n" for o in extra)
+                       .encode("utf-8"))
+    records, skipped = load_tweets(tweets)
+    split = split_retweets(records)
+    resources = PipelineConfig().load_resources()
+    docs = [d for d in (preprocess_tweet(t, resources) for t in split) if d is not None]
+    listed = tmp_path / "listed.jsonl"
+    write_documents(listed, docs)
+    streamed = tmp_path / "streamed.jsonl"
+    capsys.readouterr()
+    assert main(["prep", "--tweets", str(tweets), "--out", str(streamed)]) == 0
+    assert streamed.read_bytes() == listed.read_bytes()
+    assert skipped == 1 and len(split) - len(docs) == 2
+    assert capsys.readouterr().err == (
+        f"prep: {len(records)} records ({skipped} malformed or duplicate lines skipped), "
+        f"{len(split)} tweets after repost split, {len(docs)} documents kept, "
+        f"{len(split) - len(docs)} dropped (ads or empty)\n"
+    )
 
 
 def test_prep_skips_an_invalid_utf8_line(tmp_path, capsys):
@@ -333,6 +361,28 @@ def test_config_file_ignores_a_leading_byte_order_mark(tmp_path):
     assert parse_config_file(cfg_path) == {"K": "10", "seed": "3"}
 
 
+def test_config_file_with_invalid_utf8_names_the_file_and_offset(tmp_path, capsys):
+    cfg_path = tmp_path / "pipeline.cfg"
+    cfg_path.write_bytes(b"K = 1\xff0\n")
+    with pytest.raises(ValueError, match=r"pipeline\.cfg: not valid UTF-8 at byte offset 5$"):
+        parse_config_file(cfg_path)
+    cfg_path.write_bytes(b"\xef\xbb\xbfK = 1\xff0\n")  # the offset counts the BOM
+    with pytest.raises(ValueError, match=r"pipeline\.cfg: not valid UTF-8 at byte offset 8$"):
+        parse_config_file(cfg_path)
+    rc = main(["adjust", "--predictions", str(tmp_path / "absent.tsv"),
+               "--out", str(tmp_path / "out.tsv"), "--config", str(cfg_path)])
+    assert rc == 1
+    assert f"error: {cfg_path}: not valid UTF-8 at byte offset 8" in capsys.readouterr().err
+
+
+def test_config_file_rejects_a_repeated_key(tmp_path):
+    cfg_path = tmp_path / "pipeline.cfg"
+    cfg_path.write_text("K = 10\n# comment\nseed = 3\nK = 20\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=r"pipeline\.cfg:4: config key 'K' already set on line 1$"):
+        parse_config_file(cfg_path)
+
+
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
     action = next(a for a in build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction))
@@ -366,6 +416,7 @@ def test_every_setting_is_a_config_key_and_a_flag(f, tmp_path):
 
 
 def test_every_subcommand_prints_help(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")  # no line wrap inside a long default path
     for f in fields(PipelineConfig):  # a % in a default must not break the help text
         if isinstance(f.default, Path):
             monkeypatch.setattr(f, "default", f.default.with_name("100%_" + f.default.name))

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import tempfile
 from datetime import datetime
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcm_stance.cli import main
+from tcm_stance.preprocess import read_documents
+from tcm_stance.stance import Stance
 from tcm_stance.corpus import (
     MAX_CHAIN_DEPTH,
     MAX_TAGS,
@@ -373,15 +378,32 @@ def test_json_nested_too_deep_to_parse_is_skipped_and_counted(tmp_path):
     assert main(["prep", "--tweets", str(tweets), "--out", str(tmp_path / "docs.jsonl")]) == 0
 
 
-def _chain_line(root: str, uid: str, depth: int) -> bytes:
+def _chain_line(root: str, uid: str, depth: int, text: str) -> bytes:
     obj = chain_obj(depth, "n")
     obj.update(id=root, user_id=uid)
+    node = obj
+    while node is not None:
+        node["text"] = text
+        node = node.get("retweet")
     return json.dumps(obj, ensure_ascii=False).encode("utf-8")
 
 
 _ROOT_IDS = st.sampled_from(["a", "b", "c", "a#1", "b\tc", "c\rd", "d\ne", "中"])
 _USER_IDS = st.sampled_from(["u1", "u2", "u\t3"])
-_CHAIN_LINES = st.builds(_chain_line, _ROOT_IDS, _USER_IDS, st.integers(0, MAX_CHAIN_DEPTH + 4))
+# on-topic for either side, off-topic, an advertisement and one left empty
+_TEXTS = st.sampled_from(["中医针灸有效", "中药推拿骗局", "经络穴位很好", "看中医", "text",
+                          "中医针灸促销", "转发微博"])
+_CHAIN_LINES = st.builds(_chain_line, _ROOT_IDS, _USER_IDS,
+                         st.integers(0, MAX_CHAIN_DEPTH + 4), _TEXTS)
+# well-formed, on-topic chains, so that some corpora can be trained on
+_TOPIC_LINES = st.builds(_chain_line, st.sampled_from(["a", "b", "c", "中"]),
+                         st.sampled_from(["u1", "u2"]), st.integers(0, 4),
+                         st.sampled_from(["中医针灸有效", "中药推拿骗局", "经络穴位很好"]))
+# the root authors above and the u<k> authors of nested positions:
+# supporting, opposing, conflicting or without a stance
+_PROFILES = [UserProfile("u0"), UserProfile("u1", ("中医爱好",)), UserProfile("u2", ("反中医",)),
+             UserProfile("u\t3", ("中医爱好", "反中医")), UserProfile("u4", ("中医爱好",)),
+             UserProfile("u5", ("旅行",))]
 
 
 @st.composite
@@ -398,11 +420,23 @@ _HOSTILE_LINES = st.one_of(
 )
 
 
+def _run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and standard error of one CLI command."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 @settings(max_examples=30)
-@given(st.lists(_HOSTILE_LINES, max_size=12))
-def test_ingest_and_prep_survive_hostile_lines(lines):
+@given(st.lists(_HOSTILE_LINES, max_size=12), st.lists(_TOPIC_LINES, max_size=4))
+def test_ingest_and_prep_survive_hostile_lines(hostile, topic):
+    """Hostile tweet lines, interleaved with on-topic ones, through prep,
+    label, train and predict."""
+    lines = [line for pair in zip_longest(hostile, topic) for line in pair if line is not None]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "tweets.jsonl"
+        d = Path(tmp)
+        path = d / "tweets.jsonl"
         path.write_bytes(b"".join(line + b"\n" for line in lines))
         records, skipped = load_tweets(path)
         assert len(records) + skipped == sum(1 for line in lines if line.strip())
@@ -410,7 +444,30 @@ def test_ingest_and_prep_survive_hostile_lines(lines):
         ids = [t.id for t in split_retweets(records)]
         assert len(ids) == len(set(ids))
         assert not any(set(tid) & {"\t", "\r", "\n"} for tid in ids)
-        assert main(["prep", "--tweets", str(path), "--out", str(Path(tmp) / "docs.jsonl")]) == 0
+        write_users_jsonl(d / "users.jsonl", _PROFILES)
+        for argv in (
+            ["prep", "--tweets", str(path), "--out", str(d / "docs.jsonl")],
+            ["label", "--docs", str(d / "docs.jsonl"), "--users", str(d / "users.jsonl"),
+             "--out", str(d / "labeled.jsonl"), "--remainder", str(d / "rest.jsonl")],
+        ):
+            code, err = _run(argv)
+            assert code == 0, (argv, err)
+        train = ["train", "--labeled", str(d / "labeled.jsonl"),
+                 "--model-out", str(d / "model.txt"), "--features-out", str(d / "features.tsv")]
+        code, err = _run(train)
+        if {doc.label for doc in read_documents(d / "labeled.jsonl")} != set(Stance):
+            assert (code, err) == (1, "error: chi-square statistics need examples of both "
+                                      "classes\n")
+            return
+        assert code == 0, err
+        code, err = _run(["predict", "--docs", str(d / "rest.jsonl"), "--model",
+                          str(d / "model.txt"), "--features", str(d / "features.tsv"),
+                          "--out", str(d / "preds.tsv")])
+        assert code == 0, err
+        with open(d / "preds.tsv", encoding="utf-8", newline="") as fh:
+            predicted = [line.split("\t")[0] for line in fh]
+        assert len(predicted) == len(set(predicted))
+        assert predicted == [doc.tweet_id for doc in read_documents(d / "rest.jsonl")]
 
 
 def test_dedupe_users_merges_in_first_seen_order():

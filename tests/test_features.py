@@ -161,6 +161,17 @@ def test_sparse_vector_validation():
         SparseVector((0, 1), (1.0,))
 
 
+@pytest.mark.parametrize("indices, message", [
+    ((3, 0), "indices must be strictly increasing"),
+    ((0, 2, 2), "indices must be strictly increasing"),
+    ((-2, -1), "indices must be non-negative"),
+    ((-1,), "indices must be non-negative"),
+])
+def test_sparse_vector_errors_name_the_broken_rule(indices, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SparseVector(indices)
+
+
 def test_digest_tracks_content():
     fs = select_features(_stats_corpus(), 3)
     same = select_features(_stats_corpus(), 3)

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import TS, make_doc, make_resources
-from oracles import reference_segment
+from oracles import (
+    reference_is_noise_token,
+    reference_remove_stopwords,
+    reference_segment,
+    reference_to_simplified,
+)
 from tcm_stance.corpus import Tweet
 from tcm_stance.preprocess import (
     MAX_MATCH,
     Document,
+    _is_noise_token,
     is_advertisement,
     preprocess_tweet,
     read_documents,
@@ -30,13 +38,48 @@ cjk_text = st.text(alphabet="中医药爱好不信有效假骗abc，。", max_si
 
 def test_to_simplified_maps_only_known_chars():
     cmap = {"醫": "医", "藥": "药"}
-    assert to_simplified("中醫藥x", cmap) == "中医药x"
-    assert to_simplified("", cmap) == ""
-    assert to_simplified("abc", cmap) == "abc"
+    assert to_simplified("中醫藥x", str.maketrans(cmap)) == "中医药x"
+    assert to_simplified("", str.maketrans(cmap)) == ""
+    assert to_simplified("abc", str.maketrans(cmap)) == "abc"
 
 
 def test_to_simplified_with_bundled_map(default_resources):
-    assert to_simplified("中醫很好", default_resources.char_map) == "中医很好"
+    assert to_simplified("中醫很好", str.maketrans(default_resources.char_map)) == "中医很好"
+
+
+# CJK (traditional and simplified), ASCII, punctuation, symbols, whitespace
+# and control characters
+mixed_chars = st.sampled_from("中醫医藥药好骗aZ1，。!?、()$¥+©😀 \t\n\u3000\x00\x1f\u200b\u00ad")
+mixed_text = st.text(alphabet=st.one_of(mixed_chars, st.characters()), max_size=30)
+char_maps = st.dictionaries(st.one_of(mixed_chars, st.characters()),
+                            st.one_of(mixed_chars, st.characters()), max_size=12)
+
+
+@given(mixed_text, char_maps)
+def test_to_simplified_matches_the_map_lookup_reference(text, cmap):
+    assert to_simplified(text, str.maketrans(cmap)) == reference_to_simplified(text, cmap)
+    resources = make_resources(char_map=cmap)
+    assert to_simplified(text, resources.simplify_table) == reference_to_simplified(text, cmap)
+
+
+def test_simplify_table_is_rebuilt_with_the_char_map():
+    resources = make_resources(char_map={"醫": "医"})
+    assert to_simplified("醫藥", resources.simplify_table) == "医藥"
+    swapped = replace(resources, char_map={"藥": "药"})
+    assert to_simplified("醫藥", swapped.simplify_table) == "醫药"
+
+
+STOPWORDS = ["的", "了", "没有", "，", "a"]
+tokens_lists = st.lists(
+    st.one_of(st.text(alphabet=mixed_chars, max_size=4), mixed_text, st.sampled_from(STOPWORDS)),
+    max_size=20)
+
+
+@given(tokens_lists)
+def test_remove_stopwords_matches_the_reference(tokens):
+    stop = TermList.of(STOPWORDS)
+    assert [_is_noise_token(t) for t in tokens] == [reference_is_noise_token(t) for t in tokens]
+    assert remove_stopwords(tokens, stop) == reference_remove_stopwords(tokens, stop)
 
 
 def test_strip_entities_removes_mentions_and_urls():
