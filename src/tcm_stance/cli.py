@@ -37,6 +37,14 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _warn_unconverged(fits: Sequence[svm.TrainMeta], cfg: svm.TrainConfig) -> None:
+    """One warning line when any fit stopped at max_epochs above tolerance."""
+    stuck = [m.final_violation for m in fits if not m.final_violation < cfg.tolerance]
+    if stuck:
+        _info(f"warning: {len(stuck)} of {len(fits)} fits stopped at max_epochs "
+              f"(worst violation {max(stuck):.2e})")
+
+
 # ---------------------------------------------------------------------------
 # shared config plumbing
 
@@ -198,9 +206,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         (vectorize(doc, feature_set), 1 if doc.label is Stance.SUPPORTING else -1)
         for doc in dataset.documents
     ]
-    model = svm.train(
-        data, cfg.train_config(), n_features=len(feature_set), feature_set_digest=digest
-    )
+    train_cfg = cfg.train_config()
+    model = svm.train(data, train_cfg, n_features=len(feature_set), feature_set_digest=digest)
     save_feature_set(args.features_out, feature_set)
     svm.save_model(args.model_out, model)
     meta = model.train_meta
@@ -209,16 +216,18 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"{meta.epochs} epochs, final violation {meta.final_violation:.2e} "
         f"-> {args.model_out}, {args.features_out}"
     )
+    _warn_unconverged([meta], train_cfg)
     return 0
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     dataset = _read_labeled_dataset(args.labeled)
+    train_cfg = cfg.train_config()
     result = cross_validate(
         dataset,
         cfg.K,
-        cfg.train_config(),
+        train_cfg,
         cfg.k_folds,
         seed=cfg.seed,
         leaky_selection=cfg.leaky_selection,
@@ -230,6 +239,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
         f"micro-F1 {result.report.micro_f1:.4f}, macro-F1 {result.report.macro_f1:.4f} "
         f"-> {args.out}"
     )
+    _warn_unconverged(result.fits, train_cfg)
     return 0
 
 
@@ -267,12 +277,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     axis = _AXIS_BY_FLAG[args.axis]
     values = parse_sweep_values(args.values, axis)
     dataset = _read_labeled_dataset(args.labeled)
+    train_cfg = cfg.train_config()
     rows = evaluation.sweep(
         dataset,
         axis,
         values,
         feature_count=cfg.K,
-        cfg=cfg.train_config(),
+        cfg=train_cfg,
         k=cfg.k_folds,
         seed=cfg.seed,
         leaky_selection=cfg.leaky_selection,
@@ -282,6 +293,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.svg:
         Path(args.svg).write_text(reports.sweep_chart(rows, args.axis), encoding="utf-8", newline="\n")
     _info(f"sweep: axis {args.axis}, {len(rows)} settings -> {args.out}")
+    # gamma_min rows all share one run's fits
+    runs = rows[:1] if axis == "gamma_min" else rows
+    _warn_unconverged([m for row in runs for m in row.fits], train_cfg)
     return 0
 
 

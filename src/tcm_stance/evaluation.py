@@ -24,7 +24,7 @@ from .features import (
 )
 from .stance import Stance
 from .supervision import LabeledDataset
-from .svm import TrainConfig, predict, train
+from .svm import TrainConfig, TrainMeta, predict, train
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,7 @@ class CVResult:
     report: MetricsReport
     predictions: tuple[Prediction, ...]   # pooled out-of-fold, fold order
     golds: dict[str, Stance]              # tweet_id -> gold label
+    fits: tuple[TrainMeta, ...]           # one per fold, fold order
 
 
 _Fold = tuple[list[int], list[int], tuple[SelectedTerm, ...]]
@@ -149,18 +150,20 @@ def _run_plan(
     predictions: list[Prediction] = []
     pairs: list[tuple[Stance, Stance]] = []
     golds: dict[str, Stance] = {}
+    fits: list[TrainMeta] = []
     for train_idx, test_idx, ranking in plan:
         fs = FeatureSet(ranking[:feature_count])
         data = [(vectorize(docs[i], fs), 1 if docs[i].label is Stance.SUPPORTING else -1)
                 for i in train_idx]
         model = train(data, cfg, n_features=len(fs))
+        fits.append(model.train_meta)
         for i in test_idx:
             doc = docs[i]
             stance, _margin = predict(model, vectorize(doc, fs))
             predictions.append(Prediction(doc.user_id, doc.tweet_id, stance))
             pairs.append((doc.label, stance))
             golds[doc.tweet_id] = doc.label
-    return CVResult(compute_metrics(pairs), tuple(predictions), golds)
+    return CVResult(compute_metrics(pairs), tuple(predictions), golds, tuple(fits))
 
 
 def cross_validate(
@@ -213,6 +216,18 @@ def adjust(predictions: Sequence[Prediction], gamma_min: float) -> list[Predicti
 SWEEP_AXES = ("feature_count", "wi", "gamma_min")
 
 
+class SweepRow(tuple):
+    """A ``(value, report)`` pair that also keeps, as ``fits``, the TrainMeta
+    of the fold fits behind it in fold order; gamma_min rows share one run's."""
+
+    fits: tuple[TrainMeta, ...]
+
+    def __new__(cls, value: float, report: MetricsReport, fits: tuple[TrainMeta, ...]):
+        row = super().__new__(cls, (value, report))
+        row.fits = fits
+        return row
+
+
 def sweep(
     dataset: LabeledDataset,
     axis: str,
@@ -223,7 +238,7 @@ def sweep(
     k: int = 5,
     seed: int | None = None,
     leaky_selection: bool = False,
-) -> list[tuple[float, MetricsReport]]:
+) -> list[SweepRow]:
     """One metrics row per value, rows ordered by value ascending.
 
     All rows share one fold plan.  feature_count and wi rows run it at that
@@ -245,15 +260,20 @@ def sweep(
             raise ValueError("feature_count values must be positive integers")
     max_k = int(vals[-1]) if axis == "feature_count" else feature_count
     plan = _fold_plan(dataset, max_k, k, cfg.seed if seed is None else seed, leaky_selection)
-    if axis == "feature_count":
-        return [(float(v), _run_plan(dataset, plan, int(v), cfg).report) for v in vals]
-    if axis == "wi":
-        return [(v, _run_plan(dataset, plan, feature_count, replace(cfg, wi=v)).report)
+    if axis == "gamma_min":
+        result = _run_plan(dataset, plan, feature_count, cfg)
+        return [SweepRow(v, compute_metrics([(result.golds[p.tweet_id], p.stance)
+                                             for p in adjust(result.predictions, v)]),
+                         result.fits)
                 for v in vals]
-    result = _run_plan(dataset, plan, feature_count, cfg)
-    return [(v, compute_metrics([(result.golds[p.tweet_id], p.stance)
-                                 for p in adjust(result.predictions, v)]))
-            for v in vals]
+
+    def row(value: float, count: int, setting: TrainConfig) -> SweepRow:
+        result = _run_plan(dataset, plan, count, setting)
+        return SweepRow(value, result.report, result.fits)
+
+    if axis == "feature_count":
+        return [row(float(v), int(v), cfg) for v in vals]
+    return [row(v, feature_count, replace(cfg, wi=v)) for v in vals]
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,21 @@ more points are called opposing.
 
 Each coordinate step moves a_i to the box-clipped minimizer along its axis:
 with G = y_i <w, x_i> - 1 and Q_ii = <x_i, x_i>, the new value is
-clip(a_i - G / Q_ii, 0, C_i), and w is updated incrementally.  One epoch
-visits all examples in a seeded random order; training stops when the
-largest projected-gradient violation seen in an epoch drops below the
-tolerance, or after max_epochs.
+clip(a_i - G / Q_ii, 0, C_i), and w is updated incrementally.
+
+Passes shrink the problem (Hsieh et al., ICML 2008, Alg. 3; LIBLINEAR).
+Each pass visits the active examples in a seeded random order.  An example
+leaves the active set when it sits at a bound (a_i = 0 or a_i = C_i) and
+its gradient points out of the box by more than the largest violation of
+the previous pass.  When a pass over the active set comes in under the
+tolerance, the next pass runs over every example, with no shrinking;
+training stops only when such a full pass comes in under the tolerance and
+the largest |projected gradient| over every example, recomputed from the
+final w, is under it too.  max_epochs caps the work at max_epochs * n
+coordinate visits, and the last pass before the cap always runs over every
+example.  The reported epochs are visits / n rounded up, and the reported
+violation is always the recomputed one, so it is under the tolerance
+exactly when the fit converged.
 """
 
 from __future__ import annotations
@@ -32,7 +43,12 @@ from typing import Sequence
 from .features import SparseVector
 from .stance import Stance
 
-_MODEL_HEADER = "stance-svm v1"
+_MODEL_HEADER = "stance-svm v2"
+# header line -> the "key value" lines that follow it, in file order
+_MODEL_KEYS = {
+    "stance-svm v1": ("K", "C", "wi", "seed", "digest"),
+    _MODEL_HEADER: ("K", "C", "wi", "seed", "digest", "epochs", "violation"),
+}
 
 
 @dataclass(frozen=True)
@@ -48,6 +64,8 @@ class TrainConfig:
             raise ValueError("C must be positive")
         if not 0 < self.wi <= 1:
             raise ValueError("wi must be in (0, 1]")
+        if not self.C * self.wi > 0:
+            raise ValueError("C * wi underflows to 0")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_epochs < 1:
@@ -105,6 +123,28 @@ class DualSolution:
     final_violation: float
 
 
+# one training example as the solver holds it: indices (bias slot included),
+# values (None marks the all-ones fast path), label, alpha cap and Q_ii
+_Row = tuple[list[int], list[float] | None, float, float, float]
+
+
+def _max_violation(rows: list[_Row], alphas: list[float], w: list[float]) -> float:
+    """Largest |projected gradient| over every example, at the given w."""
+    worst = 0.0
+    for (idx, vals, y, u, _q), a in zip(rows, alphas):
+        if vals is None:
+            s = sum(w[j] for j in idx)
+        else:
+            s = sum(w[j] * v for j, v in zip(idx, vals))
+        g = y * s - 1.0
+        if a <= 0.0:
+            g = min(g, 0.0)
+        elif a >= u:
+            g = max(g, 0.0)
+        worst = max(worst, abs(g))
+    return worst
+
+
 def solve_dual(
     data: Sequence[Example],
     cfg: TrainConfig,
@@ -122,10 +162,10 @@ def solve_dual(
     _check_labels(data)
 
     bias_index = n_features
-    idx_rows: list[list[int]] = []
-    val_rows: list[list[float] | None] = []  # None marks the all-ones fast path
-    q_diag: list[float] = []
-    for vec, _y in data:
+    # one (label, cap) pair of floats per class, shared by all of its rows
+    label_cap = {y: (float(y), _upper_bound(y, cfg)) for y in (1, -1)}
+    rows: list[_Row] = []
+    for vec, y in data:
         if vec.indices and (vec.indices[-1] >= n_features):
             raise ValueError("vector index out of range for n_features")
         idx = list(vec.indices)
@@ -133,31 +173,34 @@ def solve_dual(
         if fit_bias:
             idx.append(bias_index)
             vals.append(1.0)
-        idx_rows.append(idx)
         if all(v == 1.0 for v in vals):
-            val_rows.append(None)
-            q_diag.append(float(len(idx)))
+            rows.append((idx, None, *label_cap[y], len(idx)))
         else:
-            val_rows.append(vals)
-            q_diag.append(math.fsum(v * v for v in vals))
+            rows.append((idx, vals, *label_cap[y], math.fsum(v * v for v in vals)))
 
-    ys = [float(y) for _, y in data]
-    uppers = [_upper_bound(y, cfg) for _, y in data]
-    alphas = [0.0] * len(data)
+    n = len(data)
+    alphas = [0.0] * n
     w = [0.0] * (n_features + 1)
 
     rng = random.Random(cfg.seed)
-    order = list(range(len(data)))
-    epochs_run = 0
-    violation = math.inf
-    for _ in range(cfg.max_epochs):
-        epochs_run += 1
-        rng.shuffle(order)
+    order = list(range(n))  # order[:active] is the active set
+    active = n
+    threshold = math.inf    # shrink past this out-of-box gradient
+    budget = cfg.max_epochs * n
+    visits = 0
+    while True:
+        if budget - visits - active < n:
+            # no full pass would fit after a shrunk one: make this the full one
+            active, threshold = n, math.inf
+        full = active == n
+        prefix = order[:active]
+        rng.shuffle(prefix)
+        kept: list[int] = []
+        shrunk: list[int] = []
+        keep = kept.append
         max_violation = 0.0
-        for i in order:
-            idx = idx_rows[i]
-            vals = val_rows[i]
-            y = ys[i]
+        for i in prefix:
+            idx, vals, y, u, q = rows[i]
             if vals is None:
                 s = 0.0
                 for j in idx:
@@ -170,18 +213,23 @@ def solve_dual(
             if g != g:
                 raise FloatingPointError("non-finite gradient during training")
             a = alphas[i]
-            u = uppers[i]
             if a <= 0.0:
+                if g > threshold:
+                    shrunk.append(i)
+                    continue
                 pg = g if g < 0.0 else 0.0
             elif a >= u:
+                if -g > threshold:
+                    shrunk.append(i)
+                    continue
                 pg = g if g > 0.0 else 0.0
             else:
                 pg = g
+            keep(i)
             if pg != 0.0:
                 apg = -pg if pg < 0.0 else pg
                 if apg > max_violation:
                     max_violation = apg
-                q = q_diag[i]
                 if q > 0.0:
                     new_a = a - g / q
                 else:
@@ -201,13 +249,21 @@ def solve_dual(
                         for j, v in zip(idx, vals):
                             w[j] += delta * v
                     alphas[i] = new_a
-        violation = max_violation
-        if max_violation < cfg.tolerance:
-            break
+        visits += active
+        order[:active] = kept + shrunk
+        active, threshold = len(kept), max_violation
+        if max_violation < cfg.tolerance and not full:
+            active, threshold = n, math.inf  # confirm on every example
+            continue
+        at_cap = budget - visits < n
+        if max_violation < cfg.tolerance or at_cap:
+            violation = _max_violation(rows, alphas, w)
+            if violation < cfg.tolerance or at_cap:
+                break
 
     if not all(map(math.isfinite, w)):
         raise FloatingPointError("training produced non-finite weights")
-    return DualSolution(tuple(w), tuple(alphas), epochs_run, violation)
+    return DualSolution(tuple(w), tuple(alphas), -(-visits // n), violation)
 
 
 def train(
@@ -272,16 +328,19 @@ def dual_objective(
 
 
 # ---------------------------------------------------------------------------
-# model file: header, K/C/wi/seed/digest lines, then K+1 weights
+# model file: header, K/C/wi/seed/digest/epochs/violation lines, then K+1 weights
 
 def save_model(path: str | Path, model: Model) -> None:
+    meta = model.train_meta
     lines = [
         _MODEL_HEADER,
         f"K {model.n_features}",
-        f"C {model.train_meta.C:.17g}",
-        f"wi {model.train_meta.wi:.17g}",
-        f"seed {model.train_meta.seed}",
+        f"C {meta.C:.17g}",
+        f"wi {meta.wi:.17g}",
+        f"seed {meta.seed}",
         f"digest {model.feature_set_digest}",
+        f"epochs {meta.epochs}",
+        f"violation {meta.final_violation:.17g}",
     ]
     lines.extend(f"{w:.17g}" for w in model.weights)
     Path(path).write_text("".join(l + "\n" for l in lines), encoding="utf-8", newline="\n")
@@ -295,23 +354,23 @@ def _header_value(line: str, key: str) -> str:
 
 
 def load_model(path: str | Path) -> Model:
-    """Read a saved model; epochs/violation are not stored in the file."""
+    """Read a saved model, v2 or v1.  A v1 file stores no convergence record,
+    so its model reports 0 epochs and a nan violation."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
-    if len(lines) < 7:
+    if not lines or lines[0] not in _MODEL_KEYS:
+        raise ValueError(f"not a model file (bad header {lines[0] if lines else ''!r})")
+    keys = _MODEL_KEYS[lines[0]]
+    if len(lines) < len(keys) + 2:
         raise ValueError("model file truncated")
-    if lines[0] != _MODEL_HEADER:
-        raise ValueError(f"not a model file (bad header {lines[0]!r})")
-    k = int(_header_value(lines[1], "K"))
-    c = float(_header_value(lines[2], "C"))
-    wi = float(_header_value(lines[3], "wi"))
-    seed = int(_header_value(lines[4], "seed"))
-    digest = _header_value(lines[5], "digest")
-    weight_lines = [l for l in lines[6:] if l.strip()]
+    head = {key: _header_value(line, key) for key, line in zip(keys, lines[1:])}
+    k = int(head["K"])
+    weight_lines = [l for l in lines[len(keys) + 1:] if l.strip()]
     if len(weight_lines) != k + 1:
         raise ValueError(f"model file: expected {k + 1} weights, found {len(weight_lines)}")
     weights = tuple(float(l) for l in weight_lines)
     if not all(map(math.isfinite, weights)):
         raise ValueError("model file contains non-finite weights")
-    meta = TrainMeta(c, wi, seed, 0, math.nan)
-    return Model(weights, digest, meta)
+    meta = TrainMeta(float(head["C"]), float(head["wi"]), int(head["seed"]),
+                     int(head.get("epochs", 0)), float(head.get("violation", "nan")))
+    return Model(weights, head["digest"], meta)

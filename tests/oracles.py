@@ -1,16 +1,19 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written in the most literal style available (explicit
-2x2 contingency tables, brute-force grid enumeration with numpy, a fresh
-cross-validation per setting, a segmenter that probes every length) so that
+2x2 contingency tables, brute-force grid enumeration with numpy, a dual
+solver that visits every example in every epoch, a fresh cross-validation
+per setting, a segmenter that probes every length) so that
 a mistake in these oracles is unlikely to correlate with a mistake in the
 optimized code under test.
 """
 
 from __future__ import annotations
 
+import math
+import random
 import unicodedata
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,7 +23,15 @@ from tcm_stance.preprocess import MAX_MATCH
 from tcm_stance.resources import CharMap, TermList
 from tcm_stance.stance import Stance
 from tcm_stance.supervision import LabeledDataset
-from tcm_stance.svm import TrainConfig, predict, train
+from tcm_stance.svm import (
+    DualSolution,
+    Example,
+    TrainConfig,
+    _check_labels,
+    _upper_bound,
+    predict,
+    train,
+)
 
 
 def chi2_from_table(a: int, b: int, c: int, d: int) -> float:
@@ -71,6 +82,110 @@ def grid_min_dual(points, labels, c: float, wi: float, step: float,
     return float(vals.min())
 
 
+def reference_solve_dual(
+    data: Sequence[Example],
+    cfg: TrainConfig,
+    n_features: int,
+    *,
+    fit_bias: bool = True,
+) -> DualSolution:
+    """Plain dual coordinate descent: every epoch visits every example in a
+    seeded random order, until an epoch's largest projected-gradient
+    violation is under the tolerance or max_epochs have run."""
+    if not data:
+        raise ValueError("empty training set")
+    _check_labels(data)
+
+    bias_index = n_features
+    idx_rows: list[list[int]] = []
+    val_rows: list[list[float] | None] = []  # None marks the all-ones fast path
+    q_diag: list[float] = []
+    for vec, _y in data:
+        if vec.indices and (vec.indices[-1] >= n_features):
+            raise ValueError("vector index out of range for n_features")
+        idx = list(vec.indices)
+        vals = list(vec.values)
+        if fit_bias:
+            idx.append(bias_index)
+            vals.append(1.0)
+        idx_rows.append(idx)
+        if all(v == 1.0 for v in vals):
+            val_rows.append(None)
+            q_diag.append(float(len(idx)))
+        else:
+            val_rows.append(vals)
+            q_diag.append(math.fsum(v * v for v in vals))
+
+    ys = [float(y) for _, y in data]
+    uppers = [_upper_bound(y, cfg) for _, y in data]
+    alphas = [0.0] * len(data)
+    w = [0.0] * (n_features + 1)
+
+    rng = random.Random(cfg.seed)
+    order = list(range(len(data)))
+    epochs_run = 0
+    violation = math.inf
+    for _ in range(cfg.max_epochs):
+        epochs_run += 1
+        rng.shuffle(order)
+        max_violation = 0.0
+        for i in order:
+            idx = idx_rows[i]
+            vals = val_rows[i]
+            y = ys[i]
+            if vals is None:
+                s = 0.0
+                for j in idx:
+                    s += w[j]
+            else:
+                s = 0.0
+                for j, v in zip(idx, vals):
+                    s += w[j] * v
+            g = y * s - 1.0
+            if g != g:
+                raise FloatingPointError("non-finite gradient during training")
+            a = alphas[i]
+            u = uppers[i]
+            if a <= 0.0:
+                pg = g if g < 0.0 else 0.0
+            elif a >= u:
+                pg = g if g > 0.0 else 0.0
+            else:
+                pg = g
+            if pg != 0.0:
+                apg = -pg if pg < 0.0 else pg
+                if apg > max_violation:
+                    max_violation = apg
+                q = q_diag[i]
+                if q > 0.0:
+                    new_a = a - g / q
+                else:
+                    # zero-norm row: any alpha leaves w unchanged, jump to the
+                    # bound the gradient points at so the violation clears
+                    new_a = u if g < 0.0 else 0.0
+                if new_a < 0.0:
+                    new_a = 0.0
+                elif new_a > u:
+                    new_a = u
+                if new_a != a:
+                    delta = (new_a - a) * y
+                    if vals is None:
+                        for j in idx:
+                            w[j] += delta
+                    else:
+                        for j, v in zip(idx, vals):
+                            w[j] += delta * v
+                    alphas[i] = new_a
+        violation = max_violation
+        if max_violation < cfg.tolerance:
+            break
+
+    if not all(map(math.isfinite, w)):
+        raise FloatingPointError("training produced non-finite weights")
+    return DualSolution(tuple(w), tuple(alphas), epochs_run, violation)
+
+
+
 def reference_cross_validate(dataset: LabeledDataset, feature_count: int, cfg: TrainConfig,
                              k: int, seed: int, leaky_selection: bool = False) -> CVResult:
     """k-fold CV that rebuilds the splits and selects top-K features afresh
@@ -78,7 +193,7 @@ def reference_cross_validate(dataset: LabeledDataset, feature_count: int, cfg: T
     docs = dataset.documents
     splits = stratified_kfold(dataset, k, seed)
     whole = select_features(collect_stats(dataset), feature_count) if leaky_selection else None
-    predictions, pairs, golds = [], [], {}
+    predictions, pairs, golds, fits = [], [], {}, []
     for train_idx, test_idx in splits:
         train_docs = tuple(docs[i] for i in train_idx)
         fs = whole if leaky_selection else select_features(
@@ -86,12 +201,13 @@ def reference_cross_validate(dataset: LabeledDataset, feature_count: int, cfg: T
         data = [(vectorize(d, fs), 1 if d.label is Stance.SUPPORTING else -1)
                 for d in train_docs]
         model = train(data, cfg, n_features=len(fs))
+        fits.append(model.train_meta)
         for i in test_idx:
             stance, _margin = predict(model, vectorize(docs[i], fs))
             predictions.append(Prediction(docs[i].user_id, docs[i].tweet_id, stance))
             pairs.append((docs[i].label, stance))
             golds[docs[i].tweet_id] = docs[i].label
-    return CVResult(compute_metrics(pairs), tuple(predictions), golds)
+    return CVResult(compute_metrics(pairs), tuple(predictions), golds, tuple(fits))
 
 
 def reference_segment(text: str, lexicon: TermList) -> list[str]:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import xml.etree.ElementTree as ET
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -197,6 +198,42 @@ def test_trained_model_ties_to_the_feature_file(pipeline):
     fs = load_feature_set(pipeline["features"])
     assert model.feature_set_digest == fs.digest()
     assert model.n_features == len(fs)
+
+
+def _fit_commands(pipeline, out: Path) -> list[tuple[list[str], int]]:
+    """train, cv and two sweeps on the pipeline's labeled file, each with the
+    number of fits it runs."""
+    labeled = str(pipeline["labeled"])
+    common = ["--labeled", labeled, "--K", "60", "--k-folds", "3"]
+    return [
+        (["train", *common, "--model-out", str(out / "m.txt"),
+          "--features-out", str(out / "f.tsv")], 1),
+        (["cv", *common, "--out", str(out / "cv.csv")], 3),
+        (["sweep", "--axis", "wi", "--values", "0.5,1.0", *common,
+          "--out", str(out / "wi.csv")], 6),
+        (["sweep", "--axis", "gamma", "--values", "0.5,1.0", *common,
+          "--out", str(out / "gamma.csv")], 3),
+    ]
+
+
+def test_fits_stopped_at_max_epochs_are_reported(pipeline, tmp_path, monkeypatch, capsys):
+    train_config = PipelineConfig.train_config
+    monkeypatch.setattr(PipelineConfig, "train_config",
+                        lambda self: replace(train_config(self), max_epochs=1))
+    for argv, fits in _fit_commands(pipeline, tmp_path):
+        capsys.readouterr()
+        assert main(argv) == 0
+        warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning")]
+        assert len(warnings) == 1, argv
+        assert re.fullmatch(rf"warning: [1-9]\d* of {fits} fits stopped at max_epochs "
+                            r"\(worst violation \d\.\d\de[+-]\d+\)", warnings[0]), warnings
+
+
+def test_converged_fits_print_no_warning(pipeline, tmp_path, capsys):
+    for argv, _fits in _fit_commands(pipeline, tmp_path):
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "warning" not in capsys.readouterr().err, argv
 
 
 def test_cv_csv_shape(pipeline):

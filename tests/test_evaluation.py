@@ -249,6 +249,29 @@ def test_cross_validate_is_deterministic():
     assert a.report == b.report
 
 
+def test_cv_and_sweep_keep_every_fit_in_fold_order():
+    dataset = separable_dataset()
+    result = cross_validate(dataset, 20, CV_CFG, k=4, seed=11)
+    assert result.fits == reference_cross_validate(dataset, 20, CV_CFG, 4, 11).fits
+    assert len(result.fits) == 4
+    assert all(fit.final_violation < CV_CFG.tolerance for fit in result.fits)
+    wi_rows = sweep(dataset, "wi", [0.5, 1.0], feature_count=20, cfg=CV_CFG, k=4, seed=11)
+    assert [[fit.wi for fit in row.fits] for row in wi_rows] == [[0.5] * 4, [1.0] * 4]
+    gamma_rows = sweep(dataset, "gamma_min", [0.5, 1.0], feature_count=20, cfg=CV_CFG, k=4,
+                       seed=11)
+    assert [row.fits for row in gamma_rows] == [result.fits] * 2
+
+
+def test_fits_stopped_at_max_epochs_say_so():
+    dataset = separable_dataset()
+    capped = replace(CV_CFG, max_epochs=1)
+    result = cross_validate(dataset, 20, capped, k=4)
+    assert [fit.epochs for fit in result.fits] == [1] * 4
+    assert any(not fit.final_violation < capped.tolerance for fit in result.fits)
+    (row,) = sweep(dataset, "feature_count", [20], cfg=capped, k=4)
+    assert row.fits == result.fits
+
+
 def test_sweep_rows_come_back_sorted():
     dataset = separable_dataset()
     rows = sweep(dataset, "wi", [1.0, 0.5], feature_count=20, cfg=CV_CFG, k=4)

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from tcm_stance import svm
 from tcm_stance.features import SparseVector
 from tcm_stance.stance import Stance
 from tcm_stance.svm import (
@@ -107,17 +111,12 @@ def test_alphas_respect_the_weighted_box():
         assert 0.0 <= a <= cap
 
 
-def test_converged_solution_satisfies_optimality_conditions():
-    rng = random.Random(9)
-    data = []
-    for i in range(16):
-        y = 1 if i % 2 else -1
-        data.append((vec((0, rng.uniform(-2, 2)), (1, rng.uniform(-2, 2))), y))
-    cfg = TrainConfig(C=0.5, wi=0.8, tolerance=1e-7, max_epochs=5000, seed=11)
-    sol = solve_dual(data, cfg, 2)
+def projected_gradients(sol, data, cfg):
+    """|projected gradient| of every example, recomputed from the solution."""
     w = sol.weights
+    out = []
     for a, (x, y) in zip(sol.alphas, data):
-        margin = w[2] + sum(w[j] * v for j, v in zip(x.indices, x.values))
+        margin = w[-1] + sum(w[j] * v for j, v in zip(x.indices, x.values))
         g = y * margin - 1.0
         cap = cfg.C * cfg.wi if y > 0 else cfg.C
         if a <= 0.0:
@@ -126,7 +125,106 @@ def test_converged_solution_satisfies_optimality_conditions():
             pg = max(g, 0.0)
         else:
             pg = g
-        assert abs(pg) < 1e-6
+        out.append(abs(pg))
+    return out
+
+
+def test_converged_solution_satisfies_optimality_conditions():
+    rng = random.Random(9)
+    data = []
+    for i in range(16):
+        y = 1 if i % 2 else -1
+        data.append((vec((0, rng.uniform(-2, 2)), (1, rng.uniform(-2, 2))), y))
+    cfg = TrainConfig(C=0.5, wi=0.8, tolerance=1e-7, max_epochs=5000, seed=11)
+    sol = solve_dual(data, cfg, 2)
+    assert max(projected_gradients(sol, data, cfg)) < 1e-6
+
+
+@st.composite
+def dual_problems(draw):
+    """Small problems with duplicated rows, one vector under both labels,
+    zero vectors, presence or general values, and any wi in (0, 1]."""
+    n_features = draw(st.integers(1, 3))
+    general = draw(st.booleans())
+    value = (st.integers(-4, 4).filter(bool).map(lambda k: k / 2) if general
+             else st.just(1.0))
+    vector = st.dictionaries(st.integers(0, n_features - 1), value, max_size=n_features).map(
+        lambda d: SparseVector(tuple(sorted(d)), tuple(d[j] for j in sorted(d))))
+    pool = draw(st.lists(vector, min_size=1, max_size=4))
+    data = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([1, -1])),
+                         min_size=2, max_size=10))
+    if len({y for _, y in data}) == 1:
+        data.append((data[0][0], -data[0][1]))
+    # below 1e-300, C * wi can underflow to 0, which TrainConfig rejects
+    wi = draw(st.floats(0.0, 1.0, exclude_min=True).filter(lambda wi: wi > 1e-300))
+    cfg = TrainConfig(C=draw(st.sampled_from([0.1, 1.0, 4.0])), wi=wi, tolerance=1e-8,
+                      max_epochs=100000, seed=draw(st.integers(0, 9)))
+    return data, n_features, cfg, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(dual_problems())
+@example(([(vec(), 1), (vec((0, -1.5)), 1), (vec((0, -1.5)), -1), (vec(), -1)], 1,
+          TrainConfig(C=1.0, wi=0.3, tolerance=1e-8, max_epochs=100000), False))
+@example(([(vec((0, 1), (1, 1)), 1)] * 3 + [(vec((0, 1)), -1), (vec(), 1)], 2,
+          TrainConfig(C=4.0, wi=1.0, tolerance=1e-8, max_epochs=100000), True))
+def test_shrinking_solver_matches_the_plain_loop(problem):
+    data, n_features, cfg, fit_bias = problem
+    sol = solve_dual(data, cfg, n_features, fit_bias=fit_bias)
+    ref = oracles.reference_solve_dual(data, cfg, n_features, fit_bias=fit_bias)
+    assert sol.final_violation < cfg.tolerance
+    assert dual_objective(data, sol.alphas, cfg, fit_bias=fit_bias) == pytest.approx(
+        dual_objective(data, ref.alphas, cfg, fit_bias=fit_bias), abs=1e-6)
+    assert max(projected_gradients(sol, data, cfg)) < 1e-6
+
+
+def shrinking_problem():
+    """Two noisy blobs: most points end at alpha = 0, some at the cap."""
+    rng = random.Random(31)
+    data = []
+    for i in range(120):
+        y = 1 if i % 3 else -1
+        data.append((vec((0, y + rng.gauss(0, 0.8)), (1, rng.gauss(0, 1))), y))
+    return data
+
+
+def test_passes_shrink_and_the_last_one_visits_every_example(monkeypatch):
+    lengths = []
+
+    class RecordingRandom(random.Random):
+        def shuffle(self, x):
+            lengths.append(len(x))
+            super().shuffle(x)
+
+    monkeypatch.setattr(svm.random, "Random", RecordingRandom)
+    data = shrinking_problem()
+    for max_epochs in (1000, 4):
+        lengths.clear()
+        solve_dual(data, TrainConfig(max_epochs=max_epochs, tolerance=1e-9), 2)
+        assert min(lengths) < len(data)
+        assert lengths[0] == lengths[-1] == len(data)
+        assert sum(lengths) <= max_epochs * len(data)
+
+
+@pytest.mark.parametrize("max_epochs", [4, 1000])
+def test_final_violation_is_measured_on_every_example(max_epochs):
+    data = shrinking_problem()
+    cfg = TrainConfig(C=1.0, wi=0.5, tolerance=1e-6, max_epochs=max_epochs, seed=4)
+    sol = solve_dual(data, cfg, 2)
+    assert (sol.final_violation < cfg.tolerance) == (max_epochs == 1000)
+    assert sol.final_violation == pytest.approx(max(projected_gradients(sol, data, cfg)),
+                                                rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dual_problems(), st.integers(1, 6))
+def test_epochs_never_exceed_max_epochs(problem, max_epochs):
+    data, n_features, cfg, fit_bias = problem
+    capped = replace(cfg, max_epochs=max_epochs)
+    sol = solve_dual(data, capped, n_features, fit_bias=fit_bias)
+    assert 1 <= sol.epochs <= max_epochs
+    assert sol.final_violation == pytest.approx(max(projected_gradients(sol, data, capped)),
+                                                rel=1e-9, abs=1e-12)
 
 
 def random_instance(rng, span=2.0):
@@ -232,6 +330,8 @@ def test_train_config_validation():
         TrainConfig(wi=0.0)
     with pytest.raises(ValueError):
         TrainConfig(wi=1.5)
+    with pytest.raises(ValueError, match="underflows"):
+        TrainConfig(C=0.1, wi=5e-324)
     with pytest.raises(ValueError):
         TrainConfig(tolerance=0.0)
     with pytest.raises(ValueError):
@@ -244,15 +344,38 @@ def test_model_file_round_trip(tmp_path):
                   feature_set_digest="d" * 64)
     path = tmp_path / "model.txt"
     save_model(path, model)
+    assert path.read_text(encoding="utf-8").startswith("stance-svm v2\n")
     loaded = load_model(path)
     assert loaded.weights == model.weights
     assert loaded.feature_set_digest == model.feature_set_digest
+    assert loaded.train_meta == model.train_meta
     assert loaded.train_meta.C == 0.25
     assert loaded.train_meta.wi == 0.6
     assert loaded.train_meta.seed == 9
-    assert math.isnan(loaded.train_meta.final_violation)
+    assert loaded.train_meta.epochs >= 1
+    assert loaded.train_meta.final_violation < 1e-4
     x = vec((0, 0.3))
     assert predict(loaded, x) == predict(model, x)
+
+
+def test_model_file_keeps_an_infinite_violation(tmp_path):
+    model = Model((0.5, -0.25), "abc", TrainMeta(1.0, 0.9, 3, 1000, math.inf))
+    path = tmp_path / "model.txt"
+    save_model(path, model)
+    assert "violation inf\n" in path.read_text(encoding="utf-8")
+    assert load_model(path).train_meta == model.train_meta
+
+
+def test_a_v1_model_file_still_loads(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text("stance-svm v1\nK 2\nC 1\nwi 0.90000000000000002\nseed 42\n"
+                    "digest abc\n0.5\n-1.5\n0.25\n", encoding="utf-8")
+    model = load_model(path)
+    assert model.weights == (0.5, -1.5, 0.25)
+    assert model.feature_set_digest == "abc"
+    meta = model.train_meta
+    assert (meta.C, meta.wi, meta.seed, meta.epochs) == (1.0, 0.9, 42, 0)
+    assert math.isnan(meta.final_violation)
 
 
 def test_model_file_rejects_corruption(tmp_path):
@@ -262,7 +385,7 @@ def test_model_file_rejects_corruption(tmp_path):
     text = path.read_text(encoding="utf-8")
 
     bad = tmp_path / "bad.txt"
-    bad.write_text(text.replace("stance-svm v1", "who knows"), encoding="utf-8")
+    bad.write_text(text.replace("stance-svm v2", "who knows"), encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
         load_model(bad)
 
@@ -270,9 +393,10 @@ def test_model_file_rejects_corruption(tmp_path):
     with pytest.raises(ValueError, match="weights"):
         load_model(bad)
 
-    bad.write_text("stance-svm v1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="truncated"):
-        load_model(bad)
+    for header in ("stance-svm v1", "stance-svm v2"):
+        bad.write_text(header + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(bad)
 
 
 def test_predict_guards_against_mismatches():
