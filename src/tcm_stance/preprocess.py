@@ -95,12 +95,12 @@ def _is_noise_token(token: str) -> bool:
 
 
 def remove_stopwords(tokens: Iterable[str], stoplist: TermList) -> list[str]:
-    is_stopword = stoplist.__contains__
-    return [t for t in tokens if not (is_stopword(t) or _is_noise_token(t))]
+    stopwords = stoplist.members
+    return [t for t in tokens if not (t in stopwords or _is_noise_token(t))]
 
 
 def is_advertisement(tokens: Iterable[str], adlist: TermList) -> bool:
-    return any(t in adlist for t in tokens)
+    return not adlist.members.isdisjoint(tokens)
 
 
 def preprocess_tweet(tweet: Tweet, resources: Resources) -> Optional[Document]:

@@ -53,6 +53,12 @@ class TermList:
     def __contains__(self, term: object) -> bool:
         return term in self._index  # type: ignore[attr-defined]
 
+    @property
+    def members(self) -> frozenset[str]:
+        """The terms as a frozenset, for membership tests in hot loops
+        without a Python-level ``__contains__`` call per test."""
+        return self._index  # type: ignore[attr-defined]
+
     def __iter__(self) -> Iterator[str]:
         return iter(self.terms)
 

@@ -20,14 +20,7 @@ MIN_TOPIC_TERMS = 2  # distinct terminology hits required to count as on-topic
 
 
 def is_tcm_topic(doc: Document, terminology: TermList) -> bool:
-    hits = set()
-    is_term = terminology.__contains__
-    for token in doc.tokens:
-        if is_term(token):
-            hits.add(token)
-            if len(hits) >= MIN_TOPIC_TERMS:
-                return True
-    return False
+    return len(terminology.members.intersection(doc.tokens)) >= MIN_TOPIC_TERMS
 
 
 def filter_topic(docs: Iterable[Document], terminology: TermList) -> list[Document]:

@@ -18,18 +18,20 @@ with G = y_i <w, x_i> - 1 and Q_ii = <x_i, x_i>, the new value is
 clip(a_i - G / Q_ii, 0, C_i), and w is updated incrementally.
 
 Passes shrink the problem (Hsieh et al., ICML 2008, Alg. 3; LIBLINEAR).
-Each pass visits the active examples in a seeded random order.  An example
-leaves the active set when it sits at a bound (a_i = 0 or a_i = C_i) and
-its gradient points out of the box by more than the largest violation of
-the previous pass.  When a pass over the active set comes in under the
-tolerance, the next pass runs over every example, with no shrinking;
-training stops only when such a full pass comes in under the tolerance and
-the largest |projected gradient| over every example, recomputed from the
-final w, is under it too.  max_epochs caps the work at max_epochs * n
-coordinate visits, and the last pass before the cap always runs over every
-example.  The reported epochs are visits / n rounded up, and the reported
-violation is always the recomputed one, so it is under the tolerance
-exactly when the fit converged.
+Each pass visits the active examples in the order that
+random.Random(seed).shuffle would draw; ``_shuffle`` computes that
+permutation here, so the order does not depend on CPython's shuffle
+implementation.  An example leaves the active set when it sits at a bound
+(a_i = 0 or a_i = C_i) and its gradient points out of the box by more than
+the largest violation of the previous pass.  When a pass over the active
+set comes in under the tolerance, the next pass runs over every example,
+with no shrinking; training stops only when such a full pass comes in under
+the tolerance and the largest |projected gradient| over every example,
+recomputed from the final w, is under it too.  max_epochs caps the work at
+max_epochs * n coordinate visits, and the last pass before the cap always
+runs over every example.  The reported epochs are visits / n rounded up,
+and the reported violation is always the recomputed one, so it is under the
+tolerance exactly when the fit converged.
 """
 
 from __future__ import annotations
@@ -128,6 +130,29 @@ class DualSolution:
 _Row = tuple[list[int], list[float] | None, float, float, float]
 
 
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle x in place into the permutation ``rng.shuffle(x)`` would give,
+    leaving rng in the same state.
+
+    It is the same Fisher-Yates pass, drawing j uniform on [0, i] for i from
+    len(x) - 1 down to 1, by the same rejection rule: draw
+    getrandbits((i + 1).bit_length()) until the draw is at most i.  The pass
+    runs in bands of equal bit length, so each draw is one bound-method call
+    instead of two Python-level calls per element.
+    """
+    getrandbits = rng.getrandbits
+    hi = len(x) - 1
+    while hi > 0:
+        k = (hi + 1).bit_length()
+        lo = (1 << (k - 1)) - 1  # the smallest i with (i + 1).bit_length() == k
+        for i in range(hi, lo - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        hi = lo - 1
+
+
 def _max_violation(rows: list[_Row], alphas: list[float], w: list[float]) -> float:
     """Largest |projected gradient| over every example, at the given w."""
     worst = 0.0
@@ -194,7 +219,7 @@ def solve_dual(
             active, threshold = n, math.inf
         full = active == n
         prefix = order[:active]
-        rng.shuffle(prefix)
+        _shuffle(rng, prefix)
         kept: list[int] = []
         shrunk: list[int] = []
         keep = kept.append

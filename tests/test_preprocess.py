@@ -32,6 +32,7 @@ from tcm_stance.preprocess import (
 )
 from tcm_stance.resources import TermList
 from tcm_stance.stance import Stance
+from tcm_stance.supervision import MIN_TOPIC_TERMS, is_tcm_topic
 
 cjk_text = st.text(alphabet="中医药爱好不信有效假骗abc，。", max_size=20)
 
@@ -80,6 +81,17 @@ def test_remove_stopwords_matches_the_reference(tokens):
     stop = TermList.of(STOPWORDS)
     assert [_is_noise_token(t) for t in tokens] == [reference_is_noise_token(t) for t in tokens]
     assert remove_stopwords(tokens, stop) == reference_remove_stopwords(tokens, stop)
+
+
+@given(tokens_lists, st.lists(st.sampled_from(["中医", "的", "a", "，", "没有", "x"]), max_size=5))
+def test_term_filters_agree_with_plain_membership_tests(tokens, terms):
+    term_list = TermList.of(terms)
+    assert term_list.members == frozenset(term_list)
+    assert remove_stopwords(tokens, term_list) == reference_remove_stopwords(tokens, term_list)
+    assert is_advertisement(tokens, term_list) == any(t in term_list for t in tokens)
+    hits = {t for t in tokens if t in term_list}
+    doc = make_doc("t", "u", tuple(tokens))
+    assert is_tcm_topic(doc, term_list) == (len(hits) >= MIN_TOPIC_TERMS)
 
 
 def test_strip_entities_removes_mentions_and_urls():

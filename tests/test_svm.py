@@ -190,13 +190,13 @@ def shrinking_problem():
 
 def test_passes_shrink_and_the_last_one_visits_every_example(monkeypatch):
     lengths = []
+    shuffle = svm._shuffle
 
-    class RecordingRandom(random.Random):
-        def shuffle(self, x):
-            lengths.append(len(x))
-            super().shuffle(x)
+    def recording_shuffle(rng, x):
+        lengths.append(len(x))
+        shuffle(rng, x)
 
-    monkeypatch.setattr(svm.random, "Random", RecordingRandom)
+    monkeypatch.setattr(svm, "_shuffle", recording_shuffle)
     data = shrinking_problem()
     for max_epochs in (1000, 4):
         lengths.clear()
@@ -204,6 +204,47 @@ def test_passes_shrink_and_the_last_one_visits_every_example(monkeypatch):
         assert min(lengths) < len(data)
         assert lengths[0] == lengths[-1] == len(data)
         assert sum(lengths) <= max_epochs * len(data)
+
+
+# 0-3, then 2^k - 1, 2^k and 2^k + 1 up to 4097: every bit-length band edge
+SHUFFLE_LENGTHS = sorted({0, 1, 2, 3} | {2 ** k + d for k in range(1, 13) for d in (-1, 0, 1)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-2 ** 70, 2 ** 70))
+def test_shuffle_draws_the_library_permutation_and_generator_state(seed):
+    for n in SHUFFLE_LENGTHS:
+        ours, library = random.Random(seed), random.Random(seed)
+        x, y = list(range(n)), list(range(n))
+        for _ in range(2):
+            svm._shuffle(ours, x)
+            library.shuffle(y)
+            assert x == y, n
+        assert ours.getstate() == library.getstate(), n
+
+
+def solve_with_library_shuffle(data, cfg, n_features, *, fit_bias=True):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svm, "_shuffle", lambda rng, x: rng.shuffle(x))
+        return solve_dual(data, cfg, n_features, fit_bias=fit_bias)
+
+
+@pytest.mark.parametrize("max_epochs", [1, 4, 1000])
+@pytest.mark.parametrize("wi", [0.5, 1.0])
+def test_solver_is_bit_identical_with_the_library_shuffle(wi, max_epochs):
+    data = shrinking_problem()
+    cfg = TrainConfig(C=1.0, wi=wi, tolerance=1e-6, max_epochs=max_epochs, seed=4)
+    assert solve_dual(data, cfg, 2) == solve_with_library_shuffle(data, cfg, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dual_problems(), st.one_of(st.none(), st.integers(1, 6)))
+def test_solver_is_bit_identical_with_the_library_shuffle_on_any_problem(problem, max_epochs):
+    data, n_features, cfg, fit_bias = problem
+    if max_epochs is not None:
+        cfg = replace(cfg, max_epochs=max_epochs)
+    assert (solve_dual(data, cfg, n_features, fit_bias=fit_bias)
+            == solve_with_library_shuffle(data, cfg, n_features, fit_bias=fit_bias))
 
 
 @pytest.mark.parametrize("max_epochs", [4, 1000])
