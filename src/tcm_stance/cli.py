@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 from dataclasses import fields
 from datetime import datetime
@@ -246,6 +247,11 @@ def cmd_cv(args: argparse.Namespace) -> int:
 _AXIS_BY_FLAG = {"k": "feature_count", "wi": "wi", "gamma": "gamma_min"}
 
 
+# a range spec that would give more settings than this is refused before any
+# list is built
+MAX_SWEEP_VALUES = 1000
+
+
 def parse_sweep_values(spec: str, axis: str) -> list[float]:
     """Comma lists ("0.1,0.5,1") or inclusive ranges ("0.1..1.0:0.1")."""
     spec = spec.strip()
@@ -256,13 +262,21 @@ def parse_sweep_values(spec: str, axis: str) -> list[float]:
             raise ValueError("range form is start..end:step")
         start_s, _, end_s = head.partition("..")
         start, end, step = float(start_s), float(end_s), float(step_s)
+        if not all(map(math.isfinite, (start, end, step))):
+            raise ValueError("range bounds and step must be finite numbers")
         if step <= 0 or end < start:
             raise ValueError("range form needs end >= start and step > 0")
-        count = int(round((end - start) / step)) + 1
+        span = (end - start) / step  # inf if it overflows
+        # round(span) + 1 values, at most MAX_SWEEP_VALUES
+        if not span < MAX_SWEEP_VALUES - 0.5:
+            raise ValueError(f"range {spec} gives more than {MAX_SWEEP_VALUES} values")
+        count = int(round(span)) + 1
         values = [round(start + i * step, 10) for i in range(count)]
         values = [v for v in values if v <= end + 1e-9]
     else:
         values = [float(part) for part in spec.split(",") if part.strip()]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("sweep values must be finite numbers")
     if not values:
         raise ValueError("no sweep values given")
     if axis == "feature_count":

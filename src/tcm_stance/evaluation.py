@@ -3,14 +3,20 @@ parameter sweeps.
 
 Cross-validation and every sweep axis run one fold plan: the stratified
 splits plus each training fold's chi-square ranking (the leaky variant ranks
-once on the full corpus, for comparison runs only).  The pooled out-of-fold
-predictions are kept so the per-user adjustment is scored on exactly them.
+once on the full corpus, for comparison runs only).  They also share one
+fold-major loop over (K, training config) settings: each fold vectorizes its
+documents once and fits every setting in turn, equal vectors sharing one
+SparseVector and so one solver row.  A setting keeps only its predicted
+stances and fits; predictions and reports are built after the loop.  The
+pooled out-of-fold predictions are kept so the per-user adjustment is scored
+on exactly them.
 """
 
 from __future__ import annotations
 
 import csv
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Sequence
 
@@ -18,10 +24,12 @@ from .features import (
     DEFAULT_FEATURE_COUNT,
     FeatureSet,
     SelectedTerm,
+    SparseVector,
     collect_stats,
     select_features,
     vectorize,
 )
+from .preprocess import Document
 from .stance import Stance
 from .supervision import LabeledDataset
 from .svm import TrainConfig, TrainMeta, predict, train
@@ -142,28 +150,71 @@ def _fold_plan(
     ]
 
 
+def _shared_vectors(columns: list[tuple[int, ...]], count: int) -> list[SparseVector]:
+    """The vectors at K = count of documents given by their sorted columns at
+    a larger K, one shared SparseVector per distinct column tuple."""
+    shared: dict[tuple[int, ...], SparseVector] = {}
+    vectors = []
+    for cols in columns:
+        if cols and cols[-1] >= count:
+            cols = cols[:bisect_left(cols, count)]
+        vec = shared.get(cols)
+        if vec is None:
+            vec = shared[cols] = SparseVector(cols)
+        vectors.append(vec)
+    return vectors
+
+
 def _run_plan(
+    dataset: LabeledDataset, plan: list[_Fold], settings: Sequence[tuple[int, TrainConfig]]
+) -> list[tuple[list[Stance], tuple[TrainMeta, ...]]]:
+    """Every (K, training config) setting over one plan, fold by fold.
+
+    A fold vectorizes each of its documents once, against its ranking cut at
+    the largest K in use; a smaller K keeps the columns below K, which is the
+    vector of the K-prefix.  Equal column tuples share one SparseVector per
+    (fold, K), so the solver shares their rows too.  Per setting only the
+    predicted stances (pooled: fold order, then test index order) and the
+    fits (fold order) are kept.
+    """
+    docs = dataset.documents
+    labels = [1 if d.label is Stance.SUPPORTING else -1 for d in docs]
+    max_k = max(count for count, _ in settings)
+    stances: list[list[Stance]] = [[] for _ in settings]
+    fits: list[list[TrainMeta]] = [[] for _ in settings]
+    for train_idx, test_idx, ranking in plan:
+        full = FeatureSet(ranking[:max_k])
+        columns = [vectorize(docs[i], full).indices for i in (*train_idx, *test_idx)]
+        for count in dict.fromkeys(count for count, _ in settings):
+            vectors = _shared_vectors(columns, count)
+            data = list(zip(vectors, (labels[i] for i in train_idx)))
+            test = vectors[len(train_idx):]
+            for s, (setting_count, cfg) in enumerate(settings):
+                if setting_count == count:
+                    model = train(data, cfg, n_features=min(count, len(ranking)))
+                    fits[s].append(model.train_meta)
+                    stances[s].extend(predict(model, x)[0] for x in test)
+    return [(pooled, tuple(meta)) for pooled, meta in zip(stances, fits)]
+
+
+def _pooled_docs(dataset: LabeledDataset, plan: list[_Fold]) -> list[Document]:
+    """The test documents in the order ``_run_plan`` pools their stances."""
+    docs = dataset.documents
+    return [docs[i] for _, test_idx, _ in plan for i in test_idx]
+
+
+def _cv_result(
     dataset: LabeledDataset, plan: list[_Fold], feature_count: int, cfg: TrainConfig
 ) -> CVResult:
     """Pooled out-of-fold predictions at one (K, training config)."""
-    docs = dataset.documents
-    predictions: list[Prediction] = []
-    pairs: list[tuple[Stance, Stance]] = []
-    golds: dict[str, Stance] = {}
-    fits: list[TrainMeta] = []
-    for train_idx, test_idx, ranking in plan:
-        fs = FeatureSet(ranking[:feature_count])
-        data = [(vectorize(docs[i], fs), 1 if docs[i].label is Stance.SUPPORTING else -1)
-                for i in train_idx]
-        model = train(data, cfg, n_features=len(fs))
-        fits.append(model.train_meta)
-        for i in test_idx:
-            doc = docs[i]
-            stance, _margin = predict(model, vectorize(doc, fs))
-            predictions.append(Prediction(doc.user_id, doc.tweet_id, stance))
-            pairs.append((doc.label, stance))
-            golds[doc.tweet_id] = doc.label
-    return CVResult(compute_metrics(pairs), tuple(predictions), golds, tuple(fits))
+    ((stances, fits),) = _run_plan(dataset, plan, [(feature_count, cfg)])
+    test_docs = _pooled_docs(dataset, plan)
+    return CVResult(
+        compute_metrics([(d.label, s) for d, s in zip(test_docs, stances)]),
+        tuple(Prediction(d.user_id, d.tweet_id, s) for d, s in zip(test_docs, stances)),
+        {d.tweet_id: d.label for d in test_docs},
+        fits,
+    )
 
 
 def cross_validate(
@@ -177,7 +228,7 @@ def cross_validate(
 ) -> CVResult:
     plan = _fold_plan(dataset, feature_count, k, cfg.seed if seed is None else seed,
                       leaky_selection)
-    return _run_plan(dataset, plan, feature_count, cfg)
+    return _cv_result(dataset, plan, feature_count, cfg)
 
 
 def gamma_of(count_support: int, count_oppose: int) -> float:
@@ -256,24 +307,24 @@ def sweep(
             raise ValueError("gamma_min values must be in [0.5, 1.0]")
         if axis == "wi" and not 0 < v <= 1:
             raise ValueError("wi values must be in (0, 1]")
-        if axis == "feature_count" and (v < 1 or int(v) != v):
+        if axis == "feature_count" and not (v >= 1 and float(v).is_integer()):
             raise ValueError("feature_count values must be positive integers")
     max_k = int(vals[-1]) if axis == "feature_count" else feature_count
     plan = _fold_plan(dataset, max_k, k, cfg.seed if seed is None else seed, leaky_selection)
     if axis == "gamma_min":
-        result = _run_plan(dataset, plan, feature_count, cfg)
+        result = _cv_result(dataset, plan, feature_count, cfg)
         return [SweepRow(v, compute_metrics([(result.golds[p.tweet_id], p.stance)
                                              for p in adjust(result.predictions, v)]),
                          result.fits)
                 for v in vals]
-
-    def row(value: float, count: int, setting: TrainConfig) -> SweepRow:
-        result = _run_plan(dataset, plan, count, setting)
-        return SweepRow(value, result.report, result.fits)
-
     if axis == "feature_count":
-        return [row(float(v), int(v), cfg) for v in vals]
-    return [row(v, feature_count, replace(cfg, wi=v)) for v in vals]
+        vals = [float(v) for v in vals]
+        settings = [(int(v), cfg) for v in vals]
+    else:
+        settings = [(feature_count, replace(cfg, wi=v)) for v in vals]
+    golds = [d.label for d in _pooled_docs(dataset, plan)]
+    return [SweepRow(v, compute_metrics(list(zip(golds, stances))), fits)
+            for v, (stances, fits) in zip(vals, _run_plan(dataset, plan, settings))]
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,9 @@ class DualSolution:
     final_violation: float
 
 
-# one training example as the solver holds it: indices (bias slot included),
-# values (None marks the all-ones fast path), label, alpha cap and Q_ii
+# one training example as the solver holds it, read-only and shared by equal
+# examples: indices (bias slot included), values (None marks the all-ones
+# fast path), label, alpha cap and Q_ii
 _Row = tuple[list[int], list[float] | None, float, float, float]
 
 
@@ -154,19 +155,31 @@ def _shuffle(rng: random.Random, x: list) -> None:
 
 
 def _max_violation(rows: list[_Row], alphas: list[float], w: list[float]) -> float:
-    """Largest |projected gradient| over every example, at the given w."""
+    """Largest |projected gradient| over every example, at the given w.
+    A shared row's margin is computed once."""
     worst = 0.0
-    for (idx, vals, y, u, _q), a in zip(rows, alphas):
-        if vals is None:
-            s = sum(w[j] for j in idx)
-        else:
-            s = sum(w[j] * v for j, v in zip(idx, vals))
+    margins: dict[int, float] = {}
+    for row, a in zip(rows, alphas):
+        idx, vals, y, u, _q = row
+        s = margins.get(id(row))
+        if s is None:
+            if vals is None:
+                s = sum(w[j] for j in idx)
+            else:
+                s = sum(w[j] * v for j, v in zip(idx, vals))
+            margins[id(row)] = s
         g = y * s - 1.0
+        # the projected gradient is 0 where g points out of the box
         if a <= 0.0:
-            g = min(g, 0.0)
+            if g > 0.0:
+                continue
         elif a >= u:
-            g = max(g, 0.0)
-        worst = max(worst, abs(g))
+            if g < 0.0:
+                continue
+        if g < 0.0:
+            g = -g
+        if g > worst:
+            worst = g
     return worst
 
 
@@ -179,6 +192,10 @@ def solve_dual(
 ) -> DualSolution:
     """Run dual coordinate descent on (vector, label) pairs.
 
+    Equal (indices, values, label) examples share one read-only solver row;
+    each keeps its own alpha, so sharing changes no iterate.  The index range
+    is checked once per distinct row.
+
     With fit_bias off the bias slot is kept but stays 0.0, which is what the
     closed-form small cases used in tests assume.
     """
@@ -189,19 +206,25 @@ def solve_dual(
     bias_index = n_features
     # one (label, cap) pair of floats per class, shared by all of its rows
     label_cap = {y: (float(y), _upper_bound(y, cfg)) for y in (1, -1)}
+    distinct: dict[tuple, _Row] = {}
     rows: list[_Row] = []
     for vec, y in data:
-        if vec.indices and (vec.indices[-1] >= n_features):
-            raise ValueError("vector index out of range for n_features")
-        idx = list(vec.indices)
-        vals = list(vec.values)
-        if fit_bias:
-            idx.append(bias_index)
-            vals.append(1.0)
-        if all(v == 1.0 for v in vals):
-            rows.append((idx, None, *label_cap[y], len(idx)))
-        else:
-            rows.append((idx, vals, *label_cap[y], math.fsum(v * v for v in vals)))
+        key = (vec.indices, vec.values, y)
+        row = distinct.get(key)
+        if row is None:
+            if vec.indices and (vec.indices[-1] >= n_features):
+                raise ValueError("vector index out of range for n_features")
+            idx = list(vec.indices)
+            vals = list(vec.values)
+            if fit_bias:
+                idx.append(bias_index)
+                vals.append(1.0)
+            if all(v == 1.0 for v in vals):
+                row = (idx, None, *label_cap[y], len(idx))
+            else:
+                row = (idx, vals, *label_cap[y], math.fsum(v * v for v in vals))
+            distinct[key] = row
+        rows.append(row)
 
     n = len(data)
     alphas = [0.0] * n

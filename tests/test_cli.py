@@ -5,7 +5,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from datetime import datetime
@@ -15,6 +18,7 @@ import pytest
 
 from conftest import TS, make_doc
 from tcm_stance.cli import (
+    MAX_SWEEP_VALUES,
     _resolve_config,
     build_parser,
     main,
@@ -336,6 +340,47 @@ def test_parse_sweep_values():
 def test_parse_sweep_values_rejects_bad_specs(spec):
     with pytest.raises(ValueError):
         parse_sweep_values(spec, "feature_count" if "3000" in spec else "wi")
+
+
+@pytest.mark.parametrize("spec, axis", [("inf", "feature_count"), ("0.5,nan", "gamma_min"),
+                                        ("-inf,1", "wi"), ("0.1..inf:0.1", "wi"),
+                                        ("nan..1.0:0.1", "wi"), ("0.5..1.0:inf", "wi")])
+def test_parse_sweep_values_rejects_non_finite_values(spec, axis):
+    with pytest.raises(ValueError, match="must be finite numbers"):
+        parse_sweep_values(spec, axis)
+
+
+def test_parse_sweep_values_caps_the_range_length():
+    assert len(parse_sweep_values(f"0..{MAX_SWEEP_VALUES - 1}:1", "feature_count")) == (
+        MAX_SWEEP_VALUES)
+    with pytest.raises(ValueError, match=f"more than {MAX_SWEEP_VALUES} values"):
+        parse_sweep_values(f"0..{MAX_SWEEP_VALUES}:1", "feature_count")
+    with pytest.raises(ValueError, match=f"more than {MAX_SWEEP_VALUES} values"):
+        parse_sweep_values(f"0..{MAX_SWEEP_VALUES - 0.5}:1", "feature_count")
+
+
+@pytest.mark.parametrize("spec", ["0.5..1.0:1e-12", "-1e308..1e308:1"])
+def test_a_runaway_range_is_refused_before_any_list_is_built(spec):
+    # in a child under an address-space cap, so that a parser that builds the
+    # list ends in MemoryError instead of taking the machine's memory
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))\n"
+            "from tcm_stance.cli import parse_sweep_values\n"
+            "parse_sweep_values(sys.argv[1], 'wi')\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code, spec], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        f"ValueError: range {spec} gives more than {MAX_SWEEP_VALUES} values")
+
+
+def test_sweep_command_reports_a_bad_range(tmp_path, capsys):
+    rc = main(["sweep", "--axis", "wi", "--values", "0.1..inf:0.1",
+               "--labeled", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "w.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == "error: range bounds and step must be finite numbers"
+    assert not (tmp_path / "w.csv").exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path):

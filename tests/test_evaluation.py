@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -309,19 +312,45 @@ def test_one_fold_plan_matches_a_fresh_cross_validation_per_setting(leaky):
     common = dict(cfg=CV_CFG, k=4, seed=11, leaky_selection=leaky)
     k_values = [2, 5, 12, 1000]   # 1000 is above the vocabulary
     k_rows = sweep(dataset, "feature_count", k_values, **common)
-    assert k_rows == [(float(v), reference_cross_validate(dataset, v, CV_CFG, 4, 11, leaky).report)
-                      for v in k_values]
+    k_refs = [reference_cross_validate(dataset, v, CV_CFG, 4, 11, leaky) for v in k_values]
+    assert k_rows == [(float(v), ref.report) for v, ref in zip(k_values, k_refs)]
+    # fits compare whole TrainMeta records: epochs and final_violation too
+    assert [row.fits for row in k_rows] == [ref.fits for ref in k_refs]
     assert len({report.micro_f1 for _, report in k_rows}) > 1
     wi_values = [0.2, 0.6, 1.0]
     wi_rows = sweep(dataset, "wi", wi_values, feature_count=8, **common)
-    assert wi_rows == [
-        (v, reference_cross_validate(dataset, 8, replace(CV_CFG, wi=v), 4, 11, leaky).report)
-        for v in wi_values
-    ]
+    wi_refs = [reference_cross_validate(dataset, 8, replace(CV_CFG, wi=v), 4, 11, leaky)
+               for v in wi_values]
+    assert wi_rows == [(v, ref.report) for v, ref in zip(wi_values, wi_refs)]
+    assert [row.fits for row in wi_rows] == [ref.fits for ref in wi_refs]
     result = cross_validate(dataset, 8, CV_CFG, k=4, seed=11, leaky_selection=leaky)
     reference = reference_cross_validate(dataset, 8, CV_CFG, 4, 11, leaky)
+    assert result.report == reference.report
     assert result.predictions == reference.predictions
     assert result.golds == reference.golds
+    assert result.fits == reference.fits
+
+
+def test_a_k_sweep_peaks_no_higher_than_one_cross_validation():
+    """Settings run fold by fold and keep only their stances; a loop that
+    kept every setting's Predictions to the end would peak about 30% higher
+    here."""
+    dataset = noisy_dataset(n_docs=600, vocab=40)
+    k_values = [4, 8, 16, 32]
+    cfg = replace(CV_CFG, max_epochs=2)  # the solver's memory does not grow with epochs
+
+    def peak_bytes(run):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cv_peak = peak_bytes(lambda: cross_validate(dataset, k_values[-1], cfg, k=5))
+    sweep_peak = peak_bytes(lambda: sweep(dataset, "feature_count", k_values, cfg=cfg, k=5))
+    assert sweep_peak <= 1.1 * cv_peak
 
 
 def test_sweep_validates_inputs():
@@ -336,6 +365,9 @@ def test_sweep_validates_inputs():
         sweep(dataset, "gamma_min", [0.3])
     with pytest.raises(ValueError):
         sweep(dataset, "feature_count", [2.5])
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive integers"):
+            sweep(dataset, "feature_count", [value])
 
 
 def test_metrics_csv_shape(tmp_path):

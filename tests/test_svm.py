@@ -140,17 +140,21 @@ def test_converged_solution_satisfies_optimality_conditions():
     assert max(projected_gradients(sol, data, cfg)) < 1e-6
 
 
+def sparse_vectors(n_features: int, general: bool):
+    """Vectors over n_features columns with presence or general values."""
+    value = (st.integers(-4, 4).filter(bool).map(lambda k: k / 2) if general
+             else st.just(1.0))
+    return st.dictionaries(st.integers(0, n_features - 1), value, max_size=n_features).map(
+        lambda d: SparseVector(tuple(sorted(d)), tuple(d[j] for j in sorted(d))))
+
+
 @st.composite
 def dual_problems(draw):
     """Small problems with duplicated rows, one vector under both labels,
     zero vectors, presence or general values, and any wi in (0, 1]."""
     n_features = draw(st.integers(1, 3))
-    general = draw(st.booleans())
-    value = (st.integers(-4, 4).filter(bool).map(lambda k: k / 2) if general
-             else st.just(1.0))
-    vector = st.dictionaries(st.integers(0, n_features - 1), value, max_size=n_features).map(
-        lambda d: SparseVector(tuple(sorted(d)), tuple(d[j] for j in sorted(d))))
-    pool = draw(st.lists(vector, min_size=1, max_size=4))
+    pool = draw(st.lists(sparse_vectors(n_features, draw(st.booleans())), min_size=1,
+                         max_size=4))
     data = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([1, -1])),
                          min_size=2, max_size=10))
     if len({y for _, y in data}) == 1:
@@ -245,6 +249,59 @@ def test_solver_is_bit_identical_with_the_library_shuffle_on_any_problem(problem
         cfg = replace(cfg, max_epochs=max_epochs)
     assert (solve_dual(data, cfg, n_features, fit_bias=fit_bias)
             == solve_with_library_shuffle(data, cfg, n_features, fit_bias=fit_bias))
+
+
+class IdentityTuple(tuple):
+    """A tuple equal only to itself, so the solver cannot share its row."""
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+
+@st.composite
+def repetitive_problems(draw):
+    """Few distinct (vector, label) pairs, each repeated many times; the
+    empty vector is always in the pool, so some rows carry the bias alone."""
+    n_features = draw(st.integers(1, 4))
+    pool = [SparseVector(())] + draw(st.lists(sparse_vectors(n_features, draw(st.booleans())),
+                                              max_size=3))
+    data = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([1, -1])),
+                         min_size=10, max_size=40))
+    if len({y for _, y in data}) == 1:
+        data.append((data[0][0], -data[0][1]))
+    cfg = TrainConfig(C=draw(st.sampled_from([0.1, 1.0, 4.0])),
+                      wi=draw(st.sampled_from([0.2, 0.9, 1.0])),
+                      max_epochs=draw(st.sampled_from([1, 3, 1000])), seed=draw(st.integers(0, 9)))
+    return data, n_features, cfg, draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(repetitive_problems())
+def test_row_sharing_is_invisible_to_the_solver(problem):
+    data, n_features, cfg, fit_bias = problem
+    fresh = [(SparseVector(tuple(list(x.indices)), tuple(list(x.values))), y) for x, y in data]
+    unshared = [(SparseVector(IdentityTuple(x.indices), x.values), y) for x, y in data]
+    assert len(set(data)) < len(data)
+    sol = solve_dual(data, cfg, n_features, fit_bias=fit_bias)
+    assert sol == solve_dual(fresh, cfg, n_features, fit_bias=fit_bias)
+    assert sol == solve_dual(unshared, cfg, n_features, fit_bias=fit_bias)
+
+
+@settings(max_examples=50, deadline=None)
+@given(repetitive_problems(), st.data())
+def test_an_out_of_range_index_in_a_repeated_vector_is_still_rejected(problem, data_st):
+    data, n_features, cfg, fit_bias = problem
+    bad = SparseVector((n_features,))
+    positions = data_st.draw(st.lists(st.integers(0, len(data)), min_size=1, max_size=4))
+    for pos in sorted(positions, reverse=True):
+        data.insert(pos, (bad, data_st.draw(st.sampled_from([1, -1]))))
+    with pytest.raises(ValueError, match="out of range"):
+        solve_dual(data, cfg, n_features, fit_bias=fit_bias)
 
 
 @pytest.mark.parametrize("max_epochs", [4, 1000])
