@@ -29,6 +29,7 @@ from .corpus import (
 from .evaluation import Prediction, cross_validate
 from .features import collect_stats, load_feature_set, save_feature_set, select_features, vectorize
 from .preprocess import preprocess_tweet, read_documents, write_documents
+from .resources import read_lines
 from .stance import Stance
 from .supervision import LabeledDataset, filter_topic, label_corpus
 from .synth import SynthConfig
@@ -83,26 +84,22 @@ def write_predictions_tsv(
 
 def read_predictions_tsv(path: Path) -> list[tuple[str, str, datetime, Stance, float]]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
-            try:
-                rows.append(
-                    (
-                        parts[0],
-                        parts[1],
-                        parse_timestamp(parts[2]),
-                        Stance.from_wire(parts[3]),
-                        float(parts[4]),
-                    )
+    for lineno, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
+        try:
+            rows.append(
+                (
+                    parts[0],
+                    parts[1],
+                    parse_timestamp(parts[2]),
+                    Stance.from_wire(parts[3]),
+                    float(parts[4]),
                 )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return rows
 
 

@@ -71,10 +71,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     may appear once."""
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(resources.read_lines(path), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in resources._data_rows(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")

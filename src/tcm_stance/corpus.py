@@ -8,12 +8,14 @@ own author and timestamp; ``split_retweets`` concatenates the records.
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 TEXT_CLAMP = 280            # repost commentary can double the 140-char post limit
 MAX_CHAIN_DEPTH = 16
@@ -92,6 +94,23 @@ def _flatten(obj: object) -> tuple[Tweet, ...]:
     return tuple(tweets)
 
 
+def _ingest(path: str | Path, parse: Callable[[object], object]) -> tuple[list, int]:
+    """Parse each non-blank JSONL line; returns (records, skipped count).  A
+    line with bad UTF-8 or JSON, or that ``parse`` rejects, is skipped.  A
+    BOM is dropped from the first line only."""
+    records = []
+    skipped = 0
+    with open(path, "rb") as fh:
+        for line in chain((fh.readline().removeprefix(codecs.BOM_UTF8),), fh):
+            try:
+                text = line.decode("utf-8").strip()
+                if text:
+                    records.append(parse(json.loads(text)))
+            except (ValueError, TypeError, RecursionError):
+                skipped += 1
+    return records, skipped
+
+
 def load_tweets(path: str | Path) -> tuple[list[tuple[Tweet, ...]], int]:
     """Read a tweets.jsonl file.
 
@@ -102,55 +121,40 @@ def load_tweets(path: str | Path) -> tuple[list[tuple[Tweet, ...]], int]:
     id contains "#", a tab, CR or LF or whose chain has a user_id with a tab,
     CR or LF.  An unreadable file raises OSError.
     """
-    records: list[tuple[Tweet, ...]] = []
     seen: set[str] = set()
-    skipped = 0
-    with open(path, "rb") as fh:
-        for line in fh:
-            try:
-                text = line.decode("utf-8").strip()
-                if not text:
-                    continue
-                record = _flatten(json.loads(text))
-                if record[0].id in seen:
-                    raise ValueError("duplicate id")
-                seen.add(record[0].id)
-                records.append(record)
-            except (ValueError, TypeError, RecursionError):
-                skipped += 1
-    return records, skipped
+
+    def parse(obj: object) -> tuple[Tweet, ...]:
+        record = _flatten(obj)
+        if record[0].id in seen:
+            raise ValueError("duplicate id")
+        seen.add(record[0].id)
+        return record
+
+    return _ingest(path, parse)
+
+
+def _parse_user(obj: object) -> UserProfile:
+    if not isinstance(obj, dict):
+        raise ValueError("user record must be a JSON object")
+    uid = obj.get("user_id")
+    if not isinstance(uid, str) or not uid:
+        raise ValueError("missing or empty user_id")
+    raw_tags = obj.get("tags", [])
+    if not isinstance(raw_tags, list):
+        raise ValueError("tags must be a list")
+    tags = []
+    for tag in raw_tags:
+        if not isinstance(tag, str):
+            raise ValueError("tags must be strings")
+        tag = tag.strip()
+        if tag:
+            tags.append(tag)
+    return UserProfile(uid, tuple(tags[:MAX_TAGS]))
 
 
 def load_users(path: str | Path) -> tuple[list[UserProfile], int]:
     """Read a users.jsonl file; returns (profiles, skipped line count)."""
-    users: list[UserProfile] = []
-    skipped = 0
-    with open(path, "rb") as fh:
-        for line in fh:
-            try:
-                text = line.decode("utf-8").strip()
-                if not text:
-                    continue
-                obj = json.loads(text)
-                if not isinstance(obj, dict):
-                    raise ValueError("user record must be a JSON object")
-                uid = obj.get("user_id")
-                if not isinstance(uid, str) or not uid:
-                    raise ValueError("missing or empty user_id")
-                raw_tags = obj.get("tags", [])
-                if not isinstance(raw_tags, list):
-                    raise ValueError("tags must be a list")
-                tags = []
-                for tag in raw_tags:
-                    if not isinstance(tag, str):
-                        raise ValueError("tags must be strings")
-                    tag = tag.strip()
-                    if tag:
-                        tags.append(tag)
-                users.append(UserProfile(uid, tuple(tags[:MAX_TAGS])))
-            except (ValueError, TypeError, RecursionError):
-                skipped += 1
-    return users, skipped
+    return _ingest(path, _parse_user)
 
 
 def split_retweets(records: Iterable[tuple[Tweet, ...]]) -> list[Tweet]:
@@ -170,33 +174,37 @@ def dedupe_users(users: Iterable[UserProfile]) -> list[UserProfile]:
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers (used by the synthetic generator and the CLI)
+# serialization helpers (used by the synthetic generator, preprocess and the CLI)
 
-def user_to_obj(user: UserProfile) -> dict:
-    return {"user_id": user.user_id, "tags": list(user.tags)}
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
+def write_jsonl(path: str | Path, objs: Iterable[object]) -> None:
+    """Write each object as one compact JSON line, non-ASCII kept as is."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for obj in objs:
+            fh.write(_ENCODER.encode(obj) + "\n")
+
+
+def _record_to_obj(record: tuple[Tweet, ...]) -> dict:
+    obj = None
+    for tweet in reversed(record):
+        node: dict = {
+            "id": tweet.id,
+            "user_id": tweet.user_id,
+            "text": tweet.text,
+            "created_at": format_timestamp(tweet.created_at),
+        }
+        if obj is not None:
+            node["retweet"] = obj
+        obj = node
+    return obj
 
 
 def write_tweets_jsonl(path: str | Path, records: Iterable[tuple[Tweet, ...]]) -> None:
     """Write each record as one line, its tail nested under "retweet"."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            obj = None
-            for tweet in reversed(record):
-                node: dict = {
-                    "id": tweet.id,
-                    "user_id": tweet.user_id,
-                    "text": tweet.text,
-                    "created_at": format_timestamp(tweet.created_at),
-                }
-                if obj is not None:
-                    node["retweet"] = obj
-                obj = node
-            fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
+    write_jsonl(path, map(_record_to_obj, records))
 
 
 def write_users_jsonl(path: str | Path, users: Iterable[UserProfile]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for user in users:
-            fh.write(json.dumps(user_to_obj(user), ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
+    write_jsonl(path, ({"user_id": user.user_id, "tags": list(user.tags)} for user in users))

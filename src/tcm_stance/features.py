@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .preprocess import Document
+from .resources import read_lines
 from .stance import Stance
 from .supervision import LabeledDataset
 
@@ -162,10 +163,7 @@ def save_feature_set(path: str | Path, fs: FeatureSet) -> None:
 
 def load_feature_set(path: str | Path) -> FeatureSet:
     terms = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path):
         parts = line.split("\t")
         if len(parts) != 4:
             raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")

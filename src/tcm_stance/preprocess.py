@@ -13,8 +13,8 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from .corpus import Tweet, format_timestamp, parse_timestamp
-from .resources import Resources, TermList
+from .corpus import Tweet, format_timestamp, parse_timestamp, write_jsonl
+from .resources import Resources, TermList, read_lines
 from .stance import Stance
 
 MAX_MATCH = 8  # longest lexicon entry the segmenter will consider
@@ -152,28 +152,17 @@ def document_from_obj(obj: object) -> Document:
     )
 
 
-_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
-
-
 def write_documents(path: str | Path, docs: Iterable[Document]) -> None:
-    encode = _ENCODER.encode
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for doc in docs:
-            fh.write(encode(document_to_obj(doc)))
-            fh.write("\n")
+    write_jsonl(path, map(document_to_obj, docs))
 
 
 def read_documents(path: str | Path) -> list[Document]:
     docs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                docs.append(document_from_obj(json.loads(line)))
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in read_lines(path):
+        try:
+            docs.append(document_from_obj(json.loads(line)))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return docs
 
 

@@ -87,23 +87,31 @@ TagLexicon = dict[str, Stance]
 CharMap = dict[str, str]
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """Lines of a UTF-8 text file; invalid UTF-8 is reported with its byte offset."""
-    data = Path(path).read_bytes()
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    r"""Stream (line number, line) for each non-blank line of a UTF-8 file.
+    Lines end at "\n" only (not U+2028, U+0085, ...), minus a "\r" before
+    it; a leading BOM is dropped; invalid UTF-8 is reported with its byte
+    offset, the BOM counted."""
     try:
-        text = data.decode("utf-8")
+        with open(path, encoding="utf-8-sig", newline="\n") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    yield lineno, line.removesuffix("\n").removesuffix("\r")
     except UnicodeDecodeError as exc:
+        # the text layer decodes in chunks, so its offsets are chunk-relative
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as found:
+            exc = found
         raise ResourceFormatError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
-    return text.removeprefix("\ufeff").splitlines()  # a leading BOM is not part of the text
 
 
 def _data_rows(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (line number, stripped line), skipping blanks and # comments."""
-    for lineno, line in enumerate(read_lines(path), 1):
+    """Yield (line number, stripped line), skipping # comments."""
+    for lineno, line in read_lines(path):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        if not line.startswith("#"):
+            yield lineno, line
 
 
 def load_term_list(path: str | Path) -> TermList:

@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .features import SparseVector
+from .resources import read_lines
 from .stance import Stance
 
 _MODEL_HEADER = "stance-svm v2"
@@ -404,8 +405,7 @@ def _header_value(line: str, key: str) -> str:
 def load_model(path: str | Path) -> Model:
     """Read a saved model, v2 or v1.  A v1 file stores no convergence record,
     so its model reports 0 epochs and a nan violation."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = [line for _, line in read_lines(path)]
     if not lines or lines[0] not in _MODEL_KEYS:
         raise ValueError(f"not a model file (bad header {lines[0] if lines else ''!r})")
     keys = _MODEL_KEYS[lines[0]]
@@ -413,7 +413,7 @@ def load_model(path: str | Path) -> Model:
         raise ValueError("model file truncated")
     head = {key: _header_value(line, key) for key, line in zip(keys, lines[1:])}
     k = int(head["K"])
-    weight_lines = [l for l in lines[len(keys) + 1:] if l.strip()]
+    weight_lines = lines[len(keys) + 1:]
     if len(weight_lines) != k + 1:
         raise ValueError(f"model file: expected {k + 1} weights, found {len(weight_lines)}")
     weights = tuple(float(l) for l in weight_lines)

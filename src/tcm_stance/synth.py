@@ -19,7 +19,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .corpus import Tweet, UserProfile, write_tweets_jsonl, write_users_jsonl
-from .resources import SEARCH_TAGS_PATH, DEFAULT_PATHS, load_tag_lexicon, load_term_list
+from .resources import SEARCH_TAGS_PATH, DEFAULT_PATHS, load_tag_lexicon, load_term_list, read_lines
 from .stance import Stance
 
 # regimen-and-trust flavored vocabulary for supporting authors
@@ -171,13 +171,12 @@ def write_corpus(corpus: SynthCorpus, outdir: str | Path) -> dict[str, Path]:
 
 def read_gold(path: str | Path) -> dict[str, Stance]:
     gold: dict[str, Stance] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'tweet_id<TAB>stance'")
+    for lineno, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'tweet_id<TAB>stance'")
+        try:
             gold[parts[0]] = Stance.from_wire(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return gold

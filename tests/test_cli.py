@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import json
 import os
@@ -28,10 +29,11 @@ from tcm_stance.cli import (
 )
 from tcm_stance.config import PipelineConfig, build_config, parse_config_file
 from tcm_stance.corpus import load_tweets, split_retweets
+from tcm_stance.features import load_feature_set
 from tcm_stance.preprocess import preprocess_tweet, read_documents, write_documents
 from tcm_stance.stance import Stance
 from tcm_stance.svm import load_model
-from tcm_stance.synth import SynthConfig, generate, write_corpus
+from tcm_stance.synth import SynthConfig, generate, read_gold, write_corpus
 
 
 def read_csv(path: Path) -> list[list[str]]:
@@ -522,3 +524,78 @@ def test_predictions_tsv_round_trip(tmp_path):
     assert back == rows
     text = path.read_text(encoding="utf-8")
     assert "1.250000" in text and "-0.333333" in text
+
+
+# ids that a str.splitlines() reader would cut in two, and one that a
+# reader stripping its lines would change
+_LINE_BREAKING_IDS = ["a\u2028b", "a\u2029b", "a\x85b", "a\x1cb", "a\x1db", "a\x1eb",
+                      "a\x0bb", "a\x0cb", " lead"]
+
+
+def test_ids_with_other_line_separators_pass_every_stage(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--users-pos", "6", "--users-neg", "4",
+                 "--tweets-min", "3", "--tweets-max", "5", "--seed", "7"]) == 0
+    with open(data / "tweets.jsonl", "a", encoding="utf-8") as fh:
+        for tid in _LINE_BREAKING_IDS:
+            fh.write(json.dumps({"id": tid, "user_id": "nobody", "text": "中医针灸有效",
+                                 "created_at": "2013-05-17T12:00:00"}, ensure_ascii=False) + "\n")
+
+    def run(name, *argv):
+        assert main([name, *map(str, argv)]) == 0, name
+
+    run("prep", "--tweets", data / "tweets.jsonl", "--out", tmp_path / "docs.jsonl")
+    run("label", "--docs", tmp_path / "docs.jsonl", "--users", data / "users.jsonl",
+        "--out", tmp_path / "labeled.jsonl", "--remainder", tmp_path / "rest.jsonl")
+    run("train", "--labeled", tmp_path / "labeled.jsonl", "--K", "60",
+        "--model-out", tmp_path / "model.txt", "--features-out", tmp_path / "features.tsv")
+    run("predict", "--docs", tmp_path / "rest.jsonl", "--model", tmp_path / "model.txt",
+        "--features", tmp_path / "features.tsv", "--out", tmp_path / "preds.tsv")
+    run("adjust", "--predictions", tmp_path / "preds.tsv", "--out", tmp_path / "adjusted.tsv")
+    rest_ids = [d.tweet_id for d in read_documents(tmp_path / "rest.jsonl")]
+    assert rest_ids[-len(_LINE_BREAKING_IDS):] == _LINE_BREAKING_IDS
+    for name in ("preds.tsv", "adjusted.tsv"):
+        rows = read_predictions_tsv(tmp_path / name)
+        assert [row[0] for row in rows] == rest_ids, name
+        assert {row[1] for row in rows[-len(_LINE_BREAKING_IDS):]} == {"nobody"}, name
+
+    # CRLF line ends: the same features and predictions, so the same outputs
+    for name in ("features.tsv", "preds.tsv"):
+        path = tmp_path / name
+        (tmp_path / f"crlf_{name}").write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    run("predict", "--docs", tmp_path / "rest.jsonl", "--model", tmp_path / "model.txt",
+        "--features", tmp_path / "crlf_features.tsv", "--out", tmp_path / "preds2.tsv")
+    run("adjust", "--predictions", tmp_path / "crlf_preds.tsv", "--out", tmp_path / "adjusted2.tsv")
+    assert (tmp_path / "preds2.tsv").read_bytes() == (tmp_path / "preds.tsv").read_bytes()
+    assert (tmp_path / "adjusted2.tsv").read_bytes() == (tmp_path / "adjusted.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("reader, name", [
+    (read_documents, "docs.jsonl"),
+    (read_predictions_tsv, "preds.tsv"),
+    (load_feature_set, "features.tsv"),
+    (load_model, "model.txt"),
+    (read_gold, "data/gold.tsv"),
+], ids=lambda v: getattr(v, "__name__", v))
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+def test_invalid_utf8_in_a_pipeline_file_names_the_file_and_offset(
+        pipeline, tmp_path, reader, name, bom):
+    data = (pipeline["docs"].parent / name).read_bytes()
+    cut = data.rindex(b"\n", 0, -1) + 1  # the last line starts with an ASCII byte
+    path = tmp_path / Path(name).name
+    path.write_bytes(bom + data[:cut] + b"\xff" + data[cut + 1:])
+    offset = len(bom) + cut  # the BOM counts
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not valid UTF-8 at byte offset {offset}")
+                       + "$"):
+        reader(path)
+    # and without the bad byte the file reads, BOM or not
+    path.write_bytes(bom + data)
+    reader(path)
+
+
+def test_a_command_reports_invalid_utf8_with_the_file(pipeline, tmp_path, capsys):
+    path = tmp_path / "preds.tsv"
+    path.write_bytes(b"\xff" + pipeline["preds"].read_bytes())
+    capsys.readouterr()
+    assert main(["adjust", "--predictions", str(path), "--out", str(tmp_path / "out.tsv")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 at byte offset 0\n"

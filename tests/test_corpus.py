@@ -291,6 +291,29 @@ def test_load_users_skips_and_counts_invalid_utf8(tmp_path):
     assert skipped == 1
 
 
+def test_a_leading_byte_order_mark_keeps_the_first_record(tmp_path):
+    bom = "\ufeff"
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_text(bom + json.dumps(tweet_obj(tid="a")) + "\n"
+                      + json.dumps(tweet_obj(tid="b")) + "\n", encoding="utf-8")
+    records, skipped = load_tweets(tweets)
+    assert [r[0].id for r in records] == ["a", "b"]
+    assert skipped == 0
+    users = tmp_path / "users.jsonl"
+    users.write_text(bom + '{"user_id":"u1","tags":["中医"]}\n{"user_id":"u2"}\n',
+                     encoding="utf-8")
+    assert load_users(users) == ([UserProfile("u1", ("中医",)), UserProfile("u2", ())], 0)
+
+    # a BOM anywhere else is a malformed line
+    tweets.write_text(json.dumps(tweet_obj(tid="a")) + "\n"
+                      + bom + json.dumps(tweet_obj(tid="b")) + "\n", encoding="utf-8")
+    records, skipped = load_tweets(tweets)
+    assert [r[0].id for r in records] == ["a"]
+    assert skipped == 1
+    users.write_text('{"user_id":"u1"}\n' + bom + '{"user_id":"u2"}\n', encoding="utf-8")
+    assert load_users(users) == ([UserProfile("u1", ())], 1)
+
+
 def test_users_jsonl_round_trip(tmp_path):
     users = [UserProfile("u1", ("中医爱好", "养生")), UserProfile("u2", ())]
     path = tmp_path / "users.jsonl"

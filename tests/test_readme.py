@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
+from tcm_stance.cli import main
 from tcm_stance.config import PipelineConfig, build_config, parse_config_file
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -23,3 +25,14 @@ def test_config_example_parses(tmp_path):
     path = tmp_path / "pipeline.cfg"
     path.write_text(block, encoding="utf-8")
     assert build_config(parse_config_file(path)) == PipelineConfig()
+
+
+def test_quick_start_runs(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("\n## Quick start\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("tcm-stance ")]
+    assert len(commands) >= 9
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv

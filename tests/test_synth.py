@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from datetime import datetime
 
 import pytest
@@ -91,6 +92,13 @@ def test_write_corpus_round_trips(tmp_path):
     assert tuple(tweets) == corpus.tweets
     assert tuple(users) == corpus.users
     assert read_gold(paths["gold"]) == corpus.gold
+
+
+def test_read_gold_names_the_line_of_a_bad_stance(tmp_path):
+    path = tmp_path / "gold.tsv"
+    path.write_text("t1\tsupport\n\nt2\tsupportx\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: unknown stance word: 'supportx'")):
+        read_gold(path)
 
 
 def test_write_corpus_is_byte_deterministic(tmp_path):
