@@ -3,13 +3,16 @@ parameter sweeps.
 
 Cross-validation and every sweep axis run one fold plan: the stratified
 splits plus each training fold's chi-square ranking (the leaky variant ranks
-once on the full corpus, for comparison runs only).  They also share one
-fold-major loop over (K, training config) settings: each fold vectorizes its
-documents once and fits every setting in turn, equal vectors sharing one
-SparseVector and so one solver row.  A setting keeps only its predicted
-stances and fits; predictions and reports are built after the loop.  The
-pooled out-of-fold predictions are kept so the per-user adjustment is scored
-on exactly them.
+once on the full corpus, for comparison runs only).  The plan counts the
+labeled set once and derives each training fold's counts by subtracting its
+test fold's.  Cross-validation and the sweeps also share one fold-major loop
+over (K, training config) settings: each fold vectorizes its documents once,
+from each document's distinct terms, and fits every setting in turn, equal
+vectors sharing one SparseVector and so one solver row.  A setting keeps only
+its predicted stances and fits; predictions and reports are built after the
+loop.  The pooled out-of-fold predictions are kept so the per-user adjustment
+is scored on exactly them.  Every row and fit equals what a fresh
+cross-validation per setting gives.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ from typing import IO, Iterable, Sequence
 
 from .features import (
     DEFAULT_FEATURE_COUNT,
-    FeatureSet,
     SelectedTerm,
     SparseVector,
     collect_stats,
+    fold_rankings,
     select_features,
-    vectorize,
 )
 from .preprocess import Document
 from .stance import Stance
@@ -136,18 +138,17 @@ def _fold_plan(
 ) -> list[_Fold]:
     """Stratified (train, test) splits, each with its training fold's
     chi-square ranking cut at max_k.  The K-prefix of a ranking is exactly
-    the top-K selection, since ``select_features`` sorts by (-score, term)."""
+    the top-K selection, since rankings order by (-score, term).
+
+    The labeled set is counted once, and each training fold's counts are
+    derived from it by subtracting its test fold's (``fold_rankings``)."""
     splits = stratified_kfold(dataset, k, seed)
     if leaky_selection:
         shared = select_features(collect_stats(dataset), max_k).terms
         return [(train_idx, test_idx, shared) for train_idx, test_idx in splits]
-    docs = dataset.documents
-    return [
-        (train_idx, test_idx, select_features(
-            collect_stats(LabeledDataset(tuple(docs[i] for i in train_idx), dataset.users)), max_k
-        ).terms)
-        for train_idx, test_idx in splits
-    ]
+    rankings = fold_rankings(dataset.documents, [test_idx for _, test_idx in splits], max_k)
+    return [(train_idx, test_idx, ranking)
+            for (train_idx, test_idx), ranking in zip(splits, rankings)]
 
 
 def _shared_vectors(columns: list[tuple[int, ...]], count: int) -> list[SparseVector]:
@@ -170,12 +171,13 @@ def _run_plan(
 ) -> list[tuple[list[Stance], tuple[TrainMeta, ...]]]:
     """Every (K, training config) setting over one plan, fold by fold.
 
-    A fold vectorizes each of its documents once, against its ranking cut at
-    the largest K in use; a smaller K keeps the columns below K, which is the
-    vector of the K-prefix.  Equal column tuples share one SparseVector per
-    (fold, K), so the solver shares their rows too.  Per setting only the
-    predicted stances (pooled: fold order, then test index order) and the
-    fits (fold order) are kept.
+    A fold vectorizes each of its documents once: the sorted columns of its
+    distinct terms in the ranking cut at the largest K in use, as
+    ``vectorize`` would give them.  A smaller K keeps the columns below K,
+    which is the vector of the K-prefix.  Equal column tuples share one
+    SparseVector per (fold, K), so the solver shares their rows too.  Per
+    setting only the predicted stances (pooled: fold order, then test index
+    order) and the fits (fold order) are kept.
     """
     docs = dataset.documents
     labels = [1 if d.label is Stance.SUPPORTING else -1 for d in docs]
@@ -183,8 +185,10 @@ def _run_plan(
     stances: list[list[Stance]] = [[] for _ in settings]
     fits: list[list[TrainMeta]] = [[] for _ in settings]
     for train_idx, test_idx, ranking in plan:
-        full = FeatureSet(ranking[:max_k])
-        columns = [vectorize(docs[i], full).indices for i in (*train_idx, *test_idx)]
+        index = {t.term: j for j, t in enumerate(ranking[:max_k])}
+        column = index.__getitem__
+        columns = [tuple(sorted(map(column, index.keys() & docs[i].tokens)))
+                   for i in (*train_idx, *test_idx)]
         for count in dict.fromkeys(count for count, _ in settings):
             vectors = _shared_vectors(columns, count)
             data = list(zip(vectors, (labels[i] for i in train_idx)))

@@ -13,9 +13,11 @@ the classes swapped, so one score per term is enough for a binary problem.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import operator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 from .preprocess import Document
 from .resources import read_lines
@@ -37,19 +39,50 @@ class TermStats:
     n_neg: int
 
 
-def collect_stats(dataset: LabeledDataset) -> list[TermStats]:
-    """Presence counts per distinct token; requires both classes present."""
-    n_pos = sum(1 for d in dataset.documents if d.label is Stance.SUPPORTING)
-    n_neg = sum(1 for d in dataset.documents if d.label is Stance.OPPOSING)
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("chi-square statistics need examples of both classes")
-    n_total = n_pos + n_neg
+def _presence(docs: Iterable[Document]) -> tuple[int, int, dict[str, list[int]]]:
+    """Supporting and opposing document counts, and per distinct token the
+    [supporting, opposing] counts of the documents that contain it."""
+    n_pos = n_neg = 0
     df: dict[str, list[int]] = {}
-    for doc in dataset.documents:
-        slot = 0 if doc.label is Stance.SUPPORTING else 1
+    for doc in docs:
+        if doc.label is Stance.SUPPORTING:
+            n_pos += 1
+            slot = 0
+        else:
+            n_neg += doc.label is Stance.OPPOSING   # an unlabeled one is in no class size
+            slot = 1
         for term in dict.fromkeys(doc.tokens):
             df.setdefault(term, [0, 0])[slot] += 1
+    return n_pos, n_neg, df
+
+
+def _check_classes(n_pos: int, n_neg: int) -> None:
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("chi-square statistics need examples of both classes")
+
+
+def collect_stats(dataset: LabeledDataset) -> list[TermStats]:
+    """Presence counts per distinct token; requires both classes present."""
+    n_pos, n_neg, df = _presence(dataset.documents)
+    _check_classes(n_pos, n_neg)
+    n_total = n_pos + n_neg
     return [TermStats(t, n_total, c[0], c[1], n_pos, n_neg) for t, c in df.items()]
+
+
+def _chi2(df_pos: int, df_neg: int, n_pos: int, n_neg: int, n: int) -> float:
+    """The chi-square formula of the module docstring, from presence counts."""
+    df_t = df_pos + df_neg
+    if df_t >= n:
+        return 0.0
+    p_t_c = df_pos / n
+    p_t_nc = df_neg / n
+    p_nt_c = (n_pos - df_pos) / n
+    p_nt_nc = (n_neg - df_neg) / n
+    p_t = df_t / n
+    p_c = n_pos / n
+    numerator = n * (p_t_c * p_nt_nc - p_t_nc * p_nt_c) ** 2
+    denominator = p_t * (1.0 - p_t) * p_c * (1.0 - p_c)
+    return numerator / denominator
 
 
 def chi_square(stats: TermStats) -> float:
@@ -57,20 +90,17 @@ def chi_square(stats: TermStats) -> float:
     n = stats.n_total
     if not 0 < stats.n_pos < n:
         raise ValueError("both classes must be non-empty")
-    df_t = stats.df_pos + stats.df_neg
-    if df_t < 1:
+    if stats.df_pos + stats.df_neg < 1:
         raise ValueError("term must appear in at least one document")
-    if df_t >= n:
-        return 0.0
-    p_t_c = stats.df_pos / n
-    p_t_nc = stats.df_neg / n
-    p_nt_c = (stats.n_pos - stats.df_pos) / n
-    p_nt_nc = (stats.n_neg - stats.df_neg) / n
-    p_t = df_t / n
-    p_c = stats.n_pos / n
-    numerator = n * (p_t_c * p_nt_nc - p_t_nc * p_nt_c) ** 2
-    denominator = p_t * (1.0 - p_t) * p_c * (1.0 - p_c)
-    return numerator / denominator
+    return _chi2(stats.df_pos, stats.df_neg, stats.n_pos, stats.n_neg, n)
+
+
+def _direction(df_pos: int, df_neg: int, n_pos: int, n: int) -> Stance:
+    """The class a term's presence is positively associated with: supporting
+    iff P(t,c) > P(t) P(c), compared in integers as df_pos * N > df_t * n_pos."""
+    if df_pos * n > (df_pos + df_neg) * n_pos:
+        return Stance.SUPPORTING
+    return Stance.OPPOSING
 
 
 @dataclass(frozen=True)
@@ -103,18 +133,51 @@ def select_features(stats: list[TermStats], k: int = DEFAULT_FEATURE_COUNT) -> F
     """Top-k terms by score, ties broken by term; k clamps to the vocabulary."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    scored = [(chi_square(s), s) for s in stats]
-    scored.sort(key=lambda pair: (-pair[0], pair[1].term))
-    chosen = []
-    for score, s in scored[:k]:
-        # positively associated with supporting iff P(t,c) > P(t) P(c);
-        # compared in integers: df_pos * N > (df_pos + df_neg) * n_pos
-        if s.df_pos * s.n_total > (s.df_pos + s.df_neg) * s.n_pos:
-            direction = Stance.SUPPORTING
-        else:
-            direction = Stance.OPPOSING
-        chosen.append(SelectedTerm(s.term, score, direction))
-    return FeatureSet(tuple(chosen))
+    # the k smallest (-score, term) keys; the position breaks a tie between
+    # repeated terms as a stable sort would
+    best = heapq.nsmallest(k, ((-chi_square(s), s.term, i, s) for i, s in enumerate(stats)))
+    return FeatureSet(tuple(
+        SelectedTerm(s.term, -neg, _direction(s.df_pos, s.df_neg, s.n_pos, s.n_total))
+        for neg, _, _, s in best
+    ))
+
+
+def _training_keys(
+    whole: dict[str, list[int]], test: dict[str, list[int]], n_pos: int, n_neg: int
+) -> Iterator[tuple[float, str, int, int]]:
+    """(-score, term, df_pos, df_neg) of each term of a training fold, whose
+    counts are the whole set's minus its test fold's; n_pos and n_neg are the
+    training fold's class sizes."""
+    n = n_pos + n_neg
+    absent = (0, 0)
+    for term, (p, q) in whole.items():
+        t_p, t_q = test.get(term, absent)
+        p -= t_p
+        q -= t_q
+        if p or q:
+            yield -_chi2(p, q, n_pos, n_neg, n), term, p, q
+
+
+def fold_rankings(
+    documents: Sequence[Document], test_folds: Iterable[Sequence[int]], k: int
+) -> list[tuple[SelectedTerm, ...]]:
+    """Per test fold, ``select_features(collect_stats(training fold), k).terms``
+    of its training fold, every document outside it.
+
+    The documents are counted once; a training fold's counts are those
+    minus its test fold's, and a term it no longer contains is dropped."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    n_pos, n_neg, whole = _presence(documents)
+    rankings = []
+    for test_idx in test_folds:
+        test_pos, test_neg, test = _presence(documents[i] for i in test_idx)
+        f_pos, f_neg = n_pos - test_pos, n_neg - test_neg
+        _check_classes(f_pos, f_neg)
+        best = heapq.nsmallest(k, _training_keys(whole, test, f_pos, f_neg))
+        rankings.append(tuple(SelectedTerm(term, -neg, _direction(p, q, f_pos, f_pos + f_neg))
+                              for neg, term, p, q in best))
+    return rankings
 
 
 @dataclass(frozen=True)

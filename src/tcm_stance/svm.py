@@ -52,6 +52,9 @@ _MODEL_KEYS = {
     "stance-svm v1": ("K", "C", "wi", "seed", "digest"),
     _MODEL_HEADER: ("K", "C", "wi", "seed", "digest", "epochs", "violation"),
 }
+# header key -> parser of its value
+_MODEL_VALUES = {"K": int, "C": float, "wi": float, "seed": int, "digest": str,
+                 "epochs": int, "violation": float}
 
 
 @dataclass(frozen=True)
@@ -398,27 +401,41 @@ def save_model(path: str | Path, model: Model) -> None:
 def _header_value(line: str, key: str) -> str:
     prefix = key + " "
     if not line.startswith(prefix):
-        raise ValueError(f"model file: expected '{key} ...' line, got {line!r}")
+        raise ValueError(f"expected '{key} ...' line, got {line!r}")
     return line[len(prefix):]
 
 
 def load_model(path: str | Path) -> Model:
     """Read a saved model, v2 or v1.  A v1 file stores no convergence record,
-    so its model reports 0 epochs and a nan violation."""
-    lines = [line for _, line in read_lines(path)]
-    if not lines or lines[0] not in _MODEL_KEYS:
-        raise ValueError(f"not a model file (bad header {lines[0] if lines else ''!r})")
-    keys = _MODEL_KEYS[lines[0]]
-    if len(lines) < len(keys) + 2:
-        raise ValueError("model file truncated")
-    head = {key: _header_value(line, key) for key, line in zip(keys, lines[1:])}
-    k = int(head["K"])
-    weight_lines = lines[len(keys) + 1:]
-    if len(weight_lines) != k + 1:
-        raise ValueError(f"model file: expected {k + 1} weights, found {len(weight_lines)}")
-    weights = tuple(float(l) for l in weight_lines)
-    if not all(map(math.isfinite, weights)):
-        raise ValueError("model file contains non-finite weights")
-    meta = TrainMeta(float(head["C"]), float(head["wi"]), int(head["seed"]),
-                     int(head.get("epochs", 0)), float(head.get("violation", "nan")))
-    return Model(weights, head["digest"], meta)
+    so its model reports 0 epochs and a nan violation.  Every error names the
+    file, and the line where there is one."""
+    rows = list(read_lines(path))
+    header = rows[0][1] if rows else ""
+    if header not in _MODEL_KEYS:
+        where = f"{path}:{rows[0][0]}" if rows else str(path)
+        raise ValueError(f"{where}: not a model file (bad header {header!r})")
+    keys = _MODEL_KEYS[header]
+    if len(rows) < len(keys) + 2:
+        raise ValueError(f"{path}: model file truncated")
+    head = {}
+    for key, (lineno, line) in zip(keys, rows[1:]):
+        try:
+            head[key] = _MODEL_VALUES[key](_header_value(line, key))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    k = head["K"]
+    weight_rows = rows[len(keys) + 1:]
+    if len(weight_rows) != k + 1:
+        raise ValueError(f"{path}: expected {k + 1} weights, found {len(weight_rows)}")
+    weights = []
+    for lineno, line in weight_rows:
+        try:
+            weight = float(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(weight):
+            raise ValueError(f"{path}:{lineno}: non-finite weight {line!r}")
+        weights.append(weight)
+    meta = TrainMeta(head["C"], head["wi"], head["seed"],
+                     head.get("epochs", 0), head.get("violation", math.nan))
+    return Model(tuple(weights), head["digest"], meta)

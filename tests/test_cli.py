@@ -599,3 +599,16 @@ def test_a_command_reports_invalid_utf8_with_the_file(pipeline, tmp_path, capsys
     capsys.readouterr()
     assert main(["adjust", "--predictions", str(path), "--out", str(tmp_path / "out.tsv")]) == 1
     assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 at byte offset 0\n"
+
+
+def test_predict_names_the_model_file_and_line_of_a_bad_weight(pipeline, tmp_path, capsys):
+    lines = pipeline["model"].read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[9] = "x\n"   # the second weight, after the header and seven key lines
+    model = tmp_path / "m.txt"
+    model.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--docs", str(pipeline["remainder"]), "--model", str(model),
+                 "--features", str(pipeline["features"]),
+                 "--out", str(tmp_path / "preds.tsv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}:10: could not convert string to float: 'x'\n")

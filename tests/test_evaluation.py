@@ -17,6 +17,7 @@ from oracles import reference_cross_validate
 from tcm_stance.evaluation import (
     METRICS_CSV_HEADER,
     Prediction,
+    _fold_plan,
     adjust,
     compute_metrics,
     cross_validate,
@@ -27,7 +28,9 @@ from tcm_stance.evaluation import (
     sweep,
     write_metrics_csv,
 )
+from tcm_stance.features import collect_stats, select_features
 from tcm_stance.stance import Stance
+from tcm_stance.supervision import LabeledDataset
 from tcm_stance.svm import TrainConfig
 
 S, O = Stance.SUPPORTING, Stance.OPPOSING
@@ -329,6 +332,59 @@ def test_one_fold_plan_matches_a_fresh_cross_validation_per_setting(leaky):
     assert result.predictions == reference.predictions
     assert result.golds == reference.golds
     assert result.fits == reference.fits
+
+
+@st.composite
+def fold_corpora(draw):
+    """(dataset, k) with tied scores and terms that only one test fold holds."""
+    k = draw(st.integers(2, 6))
+    stances = [S] * draw(st.integers(k, 3 * k)) + [O] * draw(st.integers(k, 3 * k))
+    vocab = [f"w{i}" for i in range(draw(st.integers(1, 8)))]
+    rows = []
+    for i, stance in enumerate(stances):
+        drawn = draw(st.lists(st.sampled_from(vocab), max_size=6))   # repeats allowed
+        tokens = [t for w in drawn for t in (w, w + "'")]   # twin terms: every score is tied
+        if draw(st.booleans()):
+            tokens.append(f"only{i}")   # in this document only, so in one test fold
+        rows.append((f"u{i}", tokens, stance))
+    return make_dataset(rows), k
+
+
+def _exact(ranking):
+    return [(t.term, t.score.hex(), t.direction) for t in ranking]
+
+
+@given(fold_corpora(), st.integers(1, 40), st.integers(0, 9))
+def test_fold_plan_ranks_each_training_fold_as_select_features_would(corpus, max_k, seed):
+    dataset, k = corpus   # max_k runs past the vocabulary of up to 8 twin pairs
+    docs = dataset.documents
+    plan = _fold_plan(dataset, max_k, k, seed, False)
+    assert [(train_idx, test_idx) for train_idx, test_idx, _ in plan] == \
+        stratified_kfold(dataset, k, seed)
+    for train_idx, _, ranking in plan:
+        training = LabeledDataset(tuple(docs[i] for i in train_idx), dataset.users)
+        expected = select_features(collect_stats(training), max_k).terms
+        assert ranking == expected
+        assert _exact(ranking) == _exact(expected)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_a_fold_plan_counts_each_document_twice(k):
+    """Once in the whole labeled set and once in its test fold, however many
+    folds there are."""
+
+    class CountedTokens(tuple):
+        iterations = 0
+
+        def __iter__(self):
+            CountedTokens.iterations += 1
+            return super().__iter__()
+
+    plain = noisy_dataset(n_docs=60)
+    docs = tuple(replace(d, tokens=CountedTokens(d.tokens)) for d in plain.documents)
+    dataset = LabeledDataset(docs, plain.users)
+    _fold_plan(dataset, 8, k, 11, False)
+    assert CountedTokens.iterations == 2 * len(docs)
 
 
 def test_a_k_sweep_peaks_no_higher_than_one_cross_validation():

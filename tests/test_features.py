@@ -121,6 +121,42 @@ def test_select_features_assigns_directions():
     assert by_term["m"] is Stance.OPPOSING  # exact independence is not support
 
 
+def _sorted_selection(stats, k):
+    """select_features as a full sort by (-score, term), stable for repeats."""
+    scored = sorted(stats, key=lambda s: (-chi_square(s), s.term))
+    return FeatureSet(tuple(
+        SelectedTerm(s.term, chi_square(s),
+                     Stance.SUPPORTING if s.df_pos * s.n_total > (s.df_pos + s.df_neg) * s.n_pos
+                     else Stance.OPPOSING)
+        for s in scored[:k]
+    ))
+
+
+@st.composite
+def term_stats(draw):
+    n_pos, n_neg = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    terms = draw(st.lists(st.sampled_from("abcdefghij"), min_size=1, max_size=15))
+    stats = []
+    for term in terms:   # repeated terms and equal counts give tied keys
+        df_pos, df_neg = draw(st.integers(0, n_pos)), draw(st.integers(0, n_neg))
+        if df_pos + df_neg == 0:
+            df_pos = 1
+        stats.append(TermStats(term, n_pos + n_neg, df_pos, df_neg, n_pos, n_neg))
+    return stats
+
+
+def _outcome(select, stats, k):
+    try:
+        return select(stats, k)
+    except ValueError as exc:   # both terms of a repeated pair chosen
+        return str(exc)
+
+
+@given(term_stats(), st.integers(1, 20))
+def test_select_features_heap_equals_a_full_sort(stats, k):
+    assert _outcome(select_features, stats, k) == _outcome(_sorted_selection, stats, k)
+
+
 def test_select_features_clamps_k():
     assert len(select_features(_stats_corpus(), 2)) == 2
     assert len(select_features(_stats_corpus(), 500)) == 5

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -495,6 +496,26 @@ def test_model_file_rejects_corruption(tmp_path):
         bad.write_text(header + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="truncated"):
             load_model(bad)
+
+
+@pytest.mark.parametrize("edit, where, message", [
+    (lambda lines: ["stance-svm v9"] + lines[1:], ":1", "not a model file (bad header 'stance-svm v9')"),
+    (lambda lines: [], "", "not a model file (bad header '')"),
+    (lambda lines: lines[:3], "", "model file truncated"),
+    (lambda lines: lines[:2] + ["C=1"] + lines[3:], ":3", "expected 'C ...' line, got 'C=1'"),
+    (lambda lines: lines[:1] + ["K two"] + lines[2:], ":2",
+     "invalid literal for int() with base 10: 'two'"),
+    (lambda lines: lines[:-1], "", "expected 2 weights, found 1"),
+    (lambda lines: lines[:8] + ["x"] + lines[9:], ":9", "could not convert string to float: 'x'"),
+    (lambda lines: lines[:-1] + ["nan"], ":10", "non-finite weight 'nan'"),
+], ids=["header", "empty", "truncated", "key", "value", "count", "weight", "non-finite"])
+def test_model_file_errors_name_the_file_and_line(tmp_path, edit, where, message):
+    path = tmp_path / "model.txt"
+    save_model(path, train(two_points(), UNWEIGHTED, 1))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}{where}: {message}") + "$"):
+        load_model(path)
 
 
 def test_predict_guards_against_mismatches():
