@@ -41,16 +41,19 @@ class TermStats:
 
 def _presence(docs: Iterable[Document]) -> tuple[int, int, dict[str, list[int]]]:
     """Supporting and opposing document counts, and per distinct token the
-    [supporting, opposing] counts of the documents that contain it."""
+    [supporting, opposing] counts of the documents that contain it; an
+    unlabeled document is an error."""
     n_pos = n_neg = 0
     df: dict[str, list[int]] = {}
     for doc in docs:
         if doc.label is Stance.SUPPORTING:
             n_pos += 1
             slot = 0
-        else:
-            n_neg += doc.label is Stance.OPPOSING   # an unlabeled one is in no class size
+        elif doc.label is Stance.OPPOSING:
+            n_neg += 1
             slot = 1
+        else:
+            raise ValueError("dataset contains an unlabeled document")
         for term in dict.fromkeys(doc.tokens):
             df.setdefault(term, [0, 0])[slot] += 1
     return n_pos, n_neg, df

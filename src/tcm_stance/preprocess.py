@@ -129,7 +129,10 @@ def document_to_obj(doc: Document) -> dict:
     return obj
 
 
-def document_from_obj(obj: object) -> Document:
+def document_from_obj(obj: object, strings: Optional[dict[str, str]] = None) -> Document:
+    """Check one decoded record and build its Document.  With ``strings``,
+    the user id and each token become the first equal ``str`` that dict has
+    seen, so documents read together share one string per distinct value."""
     if not isinstance(obj, dict):
         raise ValueError("document record must be a JSON object")
     tweet_id = obj.get("tweet_id")
@@ -142,6 +145,10 @@ def document_from_obj(obj: object) -> Document:
     if (not isinstance(tokens, list) or not all(map(isinstance, tokens, repeat(str)))
             or "" in tokens):
         raise ValueError("tokens must be a list of non-empty strings")
+    if strings is not None:
+        share = strings.setdefault
+        user_id = share(user_id, user_id)
+        tokens = map(share, tokens, tokens)
     label = obj.get("label")
     return Document(
         tweet_id=tweet_id,
@@ -158,10 +165,13 @@ def write_documents(path: str | Path, docs: Iterable[Document]) -> None:
 
 def read_documents(path: str | Path) -> list[Document]:
     docs = []
+    # json.loads gives every occurrence its own str; one per distinct token
+    # and user id holds a labeled set in about half the memory
+    strings: dict[str, str] = {}
     for lineno, line in read_lines(path):
         try:
-            docs.append(document_from_obj(json.loads(line)))
-        except (ValueError, TypeError) as exc:
+            docs.append(document_from_obj(json.loads(line), strings))
+        except (ValueError, TypeError, RecursionError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return docs
 

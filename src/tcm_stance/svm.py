@@ -160,17 +160,21 @@ def _shuffle(rng: random.Random, x: list) -> None:
 
 def _max_violation(rows: list[_Row], alphas: list[float], w: list[float]) -> float:
     """Largest |projected gradient| over every example, at the given w.
-    A shared row's margin is computed once."""
+    A shared row's margin is computed once, added left to right as the pass
+    adds it (``sum`` of floats is compensated from Python 3.12 on)."""
     worst = 0.0
     margins: dict[int, float] = {}
     for row, a in zip(rows, alphas):
         idx, vals, y, u, _q = row
         s = margins.get(id(row))
         if s is None:
+            s = 0.0
             if vals is None:
-                s = sum(w[j] for j in idx)
+                for j in idx:
+                    s += w[j]
             else:
-                s = sum(w[j] * v for j, v in zip(idx, vals))
+                for j, v in zip(idx, vals):
+                    s += w[j] * v
             margins[id(row)] = s
         g = y * s - 1.0
         # the projected gradient is 0 where g points out of the box

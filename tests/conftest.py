@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from datetime import datetime
 
 import pytest
@@ -20,6 +22,17 @@ TS = datetime(2013, 5, 17, 12, 0, 0)
 
 def make_doc(tweet_id, user_id, tokens, label=None, created_at=TS) -> Document:
     return Document(tweet_id, user_id, created_at, tuple(tokens), label)
+
+
+def peak_bytes(run) -> int:
+    """The traced heap's peak, in bytes, while ``run()`` runs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_dataset(rows) -> LabeledDataset:

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import gc
 import math
 import random
-import tracemalloc
 from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_dataset, separable_dataset
+from conftest import make_dataset, peak_bytes, separable_dataset
 from oracles import reference_cross_validate
 from tcm_stance.evaluation import (
     METRICS_CSV_HEADER,
@@ -394,16 +392,6 @@ def test_a_k_sweep_peaks_no_higher_than_one_cross_validation():
     dataset = noisy_dataset(n_docs=600, vocab=40)
     k_values = [4, 8, 16, 32]
     cfg = replace(CV_CFG, max_epochs=2)  # the solver's memory does not grow with epochs
-
-    def peak_bytes(run):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     cv_peak = peak_bytes(lambda: cross_validate(dataset, k_values[-1], cfg, k=5))
     sweep_peak = peak_bytes(lambda: sweep(dataset, "feature_count", k_values, cfg=cfg, k=5))
     assert sweep_peak <= 1.1 * cv_peak

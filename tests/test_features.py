@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_dataset
+from conftest import make_dataset, make_doc
 from tcm_stance.features import (
     FeatureSet,
     SelectedTerm,
@@ -18,6 +18,7 @@ from tcm_stance.features import (
     chi_square,
     collect_stats,
     feature_set_to_tsv,
+    fold_rankings,
     load_feature_set,
     save_feature_set,
     select_features,
@@ -264,3 +265,16 @@ def test_random_corpora_match_oracle_end_to_end():
         for s in collect_stats(dataset):
             expected = oracles.chi2_from_counts(s.df_pos, s.df_neg, s.n_pos, s.n_neg)
             assert chi_square(s) == pytest.approx(expected, abs=1e-9)
+
+
+def test_counting_rejects_an_unlabeled_document():
+    docs = (
+        make_doc("t1", "u1", ("x",), Stance.SUPPORTING),
+        make_doc("t2", "u2", ("y",), Stance.OPPOSING),
+        make_doc("t3", "u3", ("x", "z"), None),
+    )
+    dataset = LabeledDataset(docs, {"u1": Stance.SUPPORTING, "u2": Stance.OPPOSING})
+    with pytest.raises(ValueError, match="dataset contains an unlabeled document"):
+        select_features(collect_stats(dataset), 3)
+    with pytest.raises(ValueError, match="dataset contains an unlabeled document"):
+        fold_rankings(docs, [[0]], 3)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import TS, make_doc, make_resources
+from conftest import TS, make_doc, make_resources, peak_bytes
 from oracles import (
     reference_is_noise_token,
     reference_remove_stopwords,
@@ -252,13 +253,33 @@ def test_multi_char_stopword_needs_whole_token(default_resources):
 
 def test_document_round_trip(tmp_path):
     docs = [
-        make_doc("t1", "u1", ("中医", "好"), Stance.SUPPORTING),
-        make_doc("t2", "u2", ("骗",), Stance.OPPOSING),
-        make_doc("t3", "u3", ("中药",), None),
+        make_doc("t1", "用户甲", ("中医", "针灸", "中医"), Stance.SUPPORTING),
+        make_doc("t2", "用户甲", ("针灸", "骗局"), Stance.OPPOSING),
+        make_doc("t3", "用户乙", ("中医",), None),
     ]
     path = tmp_path / "docs.jsonl"
     write_documents(path, docs)
-    assert read_documents(path) == docs
+    a, b, c = read = read_documents(path)
+    assert read == docs
+    # equal tokens and user ids read from one file are one string
+    assert a.user_id is b.user_id
+    assert a.tokens[0] is a.tokens[2] is c.tokens[0]
+    assert a.tokens[1] is b.tokens[0]
+
+
+def test_read_documents_holds_a_small_vocabulary_once(tmp_path):
+    """Documents over a 50-token vocabulary peak at 360-440 bytes each on
+    CPython 3.10-3.13; with a str per token occurrence, over 1,000."""
+    rng = random.Random(0)
+    vocab = [f"词{i:02d}" for i in range(50)]
+    stances = (Stance.SUPPORTING, Stance.OPPOSING, None)
+    n = 1000
+    path = tmp_path / "docs.jsonl"
+    write_documents(path, (
+        make_doc(f"t{i:05d}", f"user{i % 20:02d}", rng.choices(vocab, k=10), stances[i % 3])
+        for i in range(n)
+    ))
+    assert peak_bytes(lambda: read_documents(path)) < 600 * n
 
 
 def test_read_documents_reports_line_numbers(tmp_path):
@@ -277,6 +298,7 @@ def test_read_documents_reports_line_numbers(tmp_path):
     '{"tweet_id":"t1","user_id":"u1","created_at":"2013-05-17T12:00:00","tokens":[""]}',
     '{"tweet_id":"t1","user_id":"u1","created_at":"2013-05-17T12:00:00","tokens":["x"],"label":"meh"}',
     '[]',
+    pytest.param("[" * 200000 + "]" * 200000, id="nested-too-deep-for-json"),
 ])
 def test_read_documents_rejects_malformed_records(tmp_path, line):
     path = tmp_path / "docs.jsonl"

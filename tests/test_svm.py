@@ -305,6 +305,15 @@ def test_an_out_of_range_index_in_a_repeated_vector_is_still_rejected(problem, d
         solve_dual(data, cfg, n_features, fit_bias=fit_bias)
 
 
+def test_final_violation_adds_a_margin_as_the_pass_does():
+    # left to right, 1e16 + 1.0 rounds back to 1e16, so the margin is 0.0;
+    # sum() from Python 3.12 on compensates and would make it 1.0
+    w = [1e16, 1.0, -1e16]
+    assert w[0] + w[1] + w[2] == 0.0
+    row = ([0, 1, 2], None, 1.0, 1.0, 3)
+    assert svm._max_violation([row], [0.0], w) == 1.0   # |y * 0.0 - 1.0|
+
+
 @pytest.mark.parametrize("max_epochs", [4, 1000])
 def test_final_violation_is_measured_on_every_example(max_epochs):
     data = shrinking_problem()
