@@ -8,13 +8,14 @@ go to standard error.  Exit codes: 0 success, 1 failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import math
 import sys
 from dataclasses import fields
 from datetime import datetime
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import evaluation, reports, svm, synth
 from .config import KEY_PARSERS, PipelineConfig, build_config, parse_bool, parse_config_file
@@ -103,16 +104,18 @@ def read_predictions_tsv(path: Path) -> list[tuple[str, str, datetime, Stance, f
     return rows
 
 
-def _write_csv_text(path: Path, text: str, echo: bool) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
-    if echo:
-        sys.stdout.write(text)
-
-
-def _metrics_csv_text(rows) -> str:
+def _write_report(args: argparse.Namespace, rows: list[list[str]],
+                  chart: Callable[[], str] | None = None) -> None:
+    """Write rows as the --out CSV and echo it under --print; with --svg,
+    render ``chart()`` there too."""
     buf = io.StringIO()
-    evaluation.write_metrics_csv(buf, rows)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    text = buf.getvalue()
+    args.out.write_text(text, encoding="utf-8", newline="\n")
+    if args.print:
+        sys.stdout.write(text)
+    if chart is not None and args.svg:
+        args.svg.write_text(chart(), encoding="utf-8", newline="\n")
 
 
 def _read_labeled_dataset(path: Path) -> LabeledDataset:
@@ -230,8 +233,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
         seed=cfg.seed,
         leaky_selection=cfg.leaky_selection,
     )
-    text = _metrics_csv_text([("-", result.report)])
-    _write_csv_text(args.out, text, args.print)
+    _write_report(args, evaluation.metrics_csv_rows([("-", result.report)]))
     _info(
         f"cv: {cfg.k_folds} folds over {len(dataset.documents)} documents, "
         f"micro-F1 {result.report.micro_f1:.4f}, macro-F1 {result.report.macro_f1:.4f} "
@@ -299,10 +301,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=cfg.seed,
         leaky_selection=cfg.leaky_selection,
     )
-    text = _metrics_csv_text(rows)
-    _write_csv_text(args.out, text, args.print)
-    if args.svg:
-        Path(args.svg).write_text(reports.sweep_chart(rows, args.axis), encoding="utf-8", newline="\n")
+    _write_report(args, evaluation.metrics_csv_rows(rows),
+                  lambda: reports.sweep_chart(rows, args.axis))
     _info(f"sweep: axis {args.axis}, {len(rows)} settings -> {args.out}")
     # gamma_min rows all share one run's fits
     runs = rows[:1] if axis == "gamma_min" else rows
@@ -350,13 +350,8 @@ def cmd_report_timeseries(args: argparse.Namespace) -> int:
     buckets = reports.timeseries(
         [(created_at, stance) for _, _, created_at, stance, _ in rows], args.granularity
     )
-    buf = io.StringIO()
-    reports.write_timeseries_csv(buf, buckets)
-    _write_csv_text(args.out, buf.getvalue(), args.print)
-    if args.svg:
-        Path(args.svg).write_text(
-            reports.timeseries_chart(buckets, args.granularity), encoding="utf-8", newline="\n"
-        )
+    _write_report(args, reports.timeseries_csv_rows(buckets),
+                  lambda: reports.timeseries_chart(buckets, args.granularity))
     _info(f"report-timeseries: {len(buckets)} {args.granularity} buckets -> {args.out}")
     return 0
 
@@ -364,9 +359,7 @@ def cmd_report_timeseries(args: argparse.Namespace) -> int:
 def cmd_report_keywords(args: argparse.Namespace) -> int:
     feature_set = load_feature_set(args.features)
     support, oppose = reports.keyword_report(feature_set, args.top_n)
-    buf = io.StringIO()
-    reports.write_keywords_csv(buf, support, oppose)
-    _write_csv_text(args.out, buf.getvalue(), args.print)
+    _write_report(args, reports.keywords_csv_rows(support, oppose))
     _info(
         f"report-keywords: top {args.top_n} per class "
         f"({len(support)} support, {len(oppose)} oppose) -> {args.out}"

@@ -17,11 +17,10 @@ cross-validation per setting gives.
 
 from __future__ import annotations
 
-import csv
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .features import (
     DEFAULT_FEATURE_COUNT,
@@ -332,7 +331,7 @@ def sweep(
 
 
 # ---------------------------------------------------------------------------
-# CSV emission: axis_value,class,precision,recall,f1,micro_f1,macro_f1
+# CSV rows: axis_value,class,precision,recall,f1,micro_f1,macro_f1
 
 METRICS_CSV_HEADER = ["axis_value", "class", "precision", "recall", "f1", "micro_f1", "macro_f1"]
 
@@ -363,10 +362,3 @@ def metrics_csv_rows(rows: Iterable[tuple[float | int | str, MetricsReport]]) ->
                 ]
             )
     return out
-
-
-def write_metrics_csv(
-    fh: IO[str], rows: Iterable[tuple[float | int | str, MetricsReport]]
-) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerows(metrics_csv_rows(rows))

@@ -229,6 +229,7 @@ def save_feature_set(path: str | Path, fs: FeatureSet) -> None:
 
 def load_feature_set(path: str | Path) -> FeatureSet:
     terms = []
+    seen: set[str] = set()
     for lineno, line in read_lines(path):
         parts = line.split("\t")
         if len(parts) != 4:
@@ -242,5 +243,8 @@ def load_feature_set(path: str | Path) -> FeatureSet:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if rank != len(terms) + 1:
             raise ValueError(f"{path}:{lineno}: ranks must be consecutive from 1")
+        if term in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate term {term!r}")
+        seen.add(term)
         terms.append(SelectedTerm(term, score, direction))
     return FeatureSet(tuple(terms))

@@ -27,7 +27,7 @@ _PLATFORM_MARKERS = ("转发微博", "回复")
 _WS_RE = re.compile(r"\s+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """A preprocessed tweet: token sequence plus carry-through identifiers."""
 
@@ -129,10 +129,10 @@ def document_to_obj(doc: Document) -> dict:
     return obj
 
 
-def document_from_obj(obj: object, strings: Optional[dict[str, str]] = None) -> Document:
-    """Check one decoded record and build its Document.  With ``strings``,
-    the user id and each token become the first equal ``str`` that dict has
-    seen, so documents read together share one string per distinct value."""
+def document_from_obj(obj: object, strings: dict[str, str]) -> Document:
+    """Check one decoded record and build its Document.  The user id and
+    each token become the first equal ``str`` that ``strings`` has seen, so
+    documents read together share one string per distinct value."""
     if not isinstance(obj, dict):
         raise ValueError("document record must be a JSON object")
     tweet_id = obj.get("tweet_id")
@@ -145,16 +145,12 @@ def document_from_obj(obj: object, strings: Optional[dict[str, str]] = None) -> 
     if (not isinstance(tokens, list) or not all(map(isinstance, tokens, repeat(str)))
             or "" in tokens):
         raise ValueError("tokens must be a list of non-empty strings")
-    if strings is not None:
-        share = strings.setdefault
-        user_id = share(user_id, user_id)
-        tokens = map(share, tokens, tokens)
     label = obj.get("label")
     return Document(
         tweet_id=tweet_id,
-        user_id=user_id,
+        user_id=strings.setdefault(user_id, user_id),
         created_at=parse_timestamp(obj.get("created_at")),
-        tokens=tuple(tokens),
+        tokens=tuple(map(strings.setdefault, tokens, tokens)),
         label=None if label is None else Stance.from_wire(label),
     )
 

@@ -1,13 +1,13 @@
-"""Report emission: time-bucketed prediction counts, per-class keyword
-tables, and small dependency-free SVG line charts."""
+"""Report content: time-bucketed prediction counts, per-class keyword
+tables as CSV rows, and small dependency-free SVG line charts.  The CLI
+writes every CSV and chart."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
-from typing import IO, Iterable, Sequence
+from datetime import date, datetime
+from typing import Iterable, Sequence
 
 from .evaluation import MetricsReport
 from .features import FeatureSet, SelectedTerm
@@ -23,34 +23,13 @@ class TimeBucket:
     count_oppose: int
 
 
-def _bucket_key(ts: datetime, granularity: str) -> str:
-    # zero-padded like _iter_periods' keys, years below 1000 included
+def _period(key: int, granularity: str) -> str:
+    """Label of a month key (year * 12 + month - 1) or a day key (ordinal),
+    zero-padded for years below 1000 as the timestamps are."""
     if granularity == "month":
-        return f"{ts.year:04d}-{ts.month:02d}"
-    return ts.date().isoformat()
-
-
-def _iter_periods(first: str, last: str, granularity: str) -> list[str]:
-    """All period keys from first to last inclusive, gaps included."""
-    if granularity == "month":
-        start = datetime.strptime(first, "%Y-%m")
-        end = datetime.strptime(last, "%Y-%m")
-        months = []
-        m = start.year * 12 + start.month - 1
-        stop = end.year * 12 + end.month - 1
-        while m <= stop:
-            year, month = divmod(m, 12)
-            months.append(f"{year:04d}-{month + 1:02d}")
-            m += 1
-        return months
-    start_d = date.fromisoformat(first)
-    end_d = date.fromisoformat(last)
-    days = []
-    cur = start_d
-    while cur <= end_d:
-        days.append(cur.isoformat())
-        cur += timedelta(days=1)
-    return days
+        year, month = divmod(key, 12)
+        return f"{year:04d}-{month + 1:02d}"
+    return date.fromordinal(key).isoformat()
 
 
 def timeseries(
@@ -60,31 +39,27 @@ def timeseries(
     observed range are emitted with zero counts."""
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity must be one of {GRANULARITIES}")
-    counts: dict[str, list[int]] = {}
+    by_month = granularity == "month"
+    counts: dict[int, list[int]] = {}
     for ts, stance in items:
-        slot = 0 if stance is Stance.SUPPORTING else 1
-        counts.setdefault(_bucket_key(ts, granularity), [0, 0])[slot] += 1
+        key = ts.year * 12 + ts.month - 1 if by_month else ts.toordinal()
+        counts.setdefault(key, [0, 0])[0 if stance is Stance.SUPPORTING else 1] += 1
     if not counts:
         return []
-    keys = sorted(counts)
-    buckets = []
-    for period in _iter_periods(keys[0], keys[-1], granularity):
-        c = counts.get(period, [0, 0])
-        buckets.append(TimeBucket(period, c[0], c[1]))
-    return buckets
+    return [TimeBucket(_period(key, granularity), *counts.get(key, (0, 0)))
+            for key in range(min(counts), max(counts) + 1)]
 
 
 def _log_cell(count: int) -> str:
     return "" if count == 0 else f"{math.log10(count):.4f}"
 
 
-def write_timeseries_csv(fh: IO[str], buckets: Sequence[TimeBucket]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["period", "count_support", "count_oppose", "log10_support", "log10_oppose"])
+def timeseries_csv_rows(buckets: Sequence[TimeBucket]) -> list[list[str]]:
+    out = [["period", "count_support", "count_oppose", "log10_support", "log10_oppose"]]
     for b in buckets:
-        writer.writerow(
-            [b.period, b.count_support, b.count_oppose, _log_cell(b.count_support), _log_cell(b.count_oppose)]
-        )
+        out.append([b.period, str(b.count_support), str(b.count_oppose),
+                    _log_cell(b.count_support), _log_cell(b.count_oppose)])
+    return out
 
 
 def keyword_report(
@@ -98,14 +73,14 @@ def keyword_report(
     return support, oppose
 
 
-def write_keywords_csv(
-    fh: IO[str], support: Sequence[SelectedTerm], oppose: Sequence[SelectedTerm]
-) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["class", "rank", "term", "score"])
+def keywords_csv_rows(
+    support: Sequence[SelectedTerm], oppose: Sequence[SelectedTerm]
+) -> list[list[str]]:
+    out = [["class", "rank", "term", "score"]]
     for cls, terms in ((Stance.SUPPORTING, support), (Stance.OPPOSING, oppose)):
         for rank, term in enumerate(terms, 1):
-            writer.writerow([cls.wire, rank, term.term, f"{term.score:.6f}"])
+            out.append([cls.wire, str(rank), term.term, f"{term.score:.6f}"])
+    return out
 
 
 # ---------------------------------------------------------------------------

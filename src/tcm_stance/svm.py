@@ -99,10 +99,6 @@ class Model:
     def n_features(self) -> int:
         return len(self.weights) - 1
 
-    @property
-    def bias(self) -> float:
-        return self.weights[-1]
-
 
 def _upper_bound(y: int, cfg: TrainConfig) -> float:
     return cfg.C * cfg.wi if y > 0 else cfg.C
@@ -328,10 +324,9 @@ def train(
     n_features: int,
     *,
     feature_set_digest: str = "",
-    fit_bias: bool = True,
 ) -> Model:
     """Fit a model on (vector, label) pairs of dimension ``n_features``."""
-    sol = solve_dual(data, cfg, n_features, fit_bias=fit_bias)
+    sol = solve_dual(data, cfg, n_features)
     meta = TrainMeta(cfg.C, cfg.wi, cfg.seed, sol.epochs, sol.final_violation)
     return Model(sol.weights, feature_set_digest, meta)
 

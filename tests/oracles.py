@@ -3,9 +3,9 @@
 Everything here is written in the most literal style available (explicit
 2x2 contingency tables, brute-force grid enumeration with numpy, a dual
 solver that visits every example in every epoch, a fresh cross-validation
-per setting, a segmenter that probes every length) so that
-a mistake in these oracles is unlikely to correlate with a mistake in the
-optimized code under test.
+per setting, a segmenter that probes every length, time buckets keyed by
+their labels) so that a mistake in these oracles is unlikely to correlate
+with a mistake in the optimized code under test.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 import unicodedata
+from datetime import date, datetime, timedelta
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -245,3 +246,49 @@ def reference_is_noise_token(token: str) -> bool:
 def reference_remove_stopwords(tokens: Iterable[str], stoplist: TermList) -> list[str]:
     """Stopword and noise test made afresh for every token."""
     return [t for t in tokens if t not in stoplist and not reference_is_noise_token(t)]
+
+
+def _bucket_key(ts: datetime, granularity: str) -> str:
+    # zero-padded like _iter_periods' keys, years below 1000 included
+    if granularity == "month":
+        return f"{ts.year:04d}-{ts.month:02d}"
+    return ts.date().isoformat()
+
+
+def _iter_periods(first: str, last: str, granularity: str) -> list[str]:
+    """All period keys from first to last inclusive, gaps included."""
+    if granularity == "month":
+        start = datetime.strptime(first, "%Y-%m")
+        end = datetime.strptime(last, "%Y-%m")
+        months = []
+        m = start.year * 12 + start.month - 1
+        stop = end.year * 12 + end.month - 1
+        while m <= stop:
+            year, month = divmod(m, 12)
+            months.append(f"{year:04d}-{month + 1:02d}")
+            m += 1
+        return months
+    start_d = date.fromisoformat(first)
+    end_d = date.fromisoformat(last)
+    # steps only while short of the last day, which may be 9999-12-31
+    days = [start_d.isoformat()]
+    cur = start_d
+    while cur < end_d:
+        cur += timedelta(days=1)
+        days.append(cur.isoformat())
+    return days
+
+
+def reference_timeseries(items: Iterable[tuple[datetime, Stance]],
+                         granularity: str) -> list[tuple[str, int, int]]:
+    """(period, support, oppose) per period: counted under string labels,
+    which sort in time order, then every label walked by calendar."""
+    counts: dict[str, list[int]] = {}
+    for ts, stance in items:
+        slot = 0 if stance is Stance.SUPPORTING else 1
+        counts.setdefault(_bucket_key(ts, granularity), [0, 0])[slot] += 1
+    if not counts:
+        return []
+    keys = sorted(counts)
+    return [(period, *counts.get(period, [0, 0]))
+            for period in _iter_periods(keys[0], keys[-1], granularity)]

@@ -320,14 +320,51 @@ def test_conflicting_user_labels_are_fatal(tmp_path, capsys):
     assert "u1" in capsys.readouterr().err
 
 
-def test_cv_print_echoes_csv(pipeline, capsys):
-    out = pipeline["cv"].parent / "cv2.csv"
-    rc = main(["cv", "--labeled", str(pipeline["labeled"]), "--out", str(out),
-               "--K", "60", "--k-folds", "3", "--print"])
-    assert rc == 0
-    captured = capsys.readouterr()
-    assert "axis_value" in captured.out
-    assert out.read_text(encoding="utf-8").startswith("axis_value")
+@pytest.mark.parametrize("argv, has_chart", [
+    (lambda p: ["cv", "--labeled", p["labeled"], "--K", "60", "--k-folds", "3"], False),
+    (lambda p: ["sweep", "--axis", "gamma", "--values", "0.5,1.0", "--labeled", p["labeled"],
+                "--K", "60", "--k-folds", "3"], True),
+    (lambda p: ["report-timeseries", "--predictions", p["adjusted"]], True),
+    (lambda p: ["report-keywords", "--features", p["features"], "--top-n", "5"], False),
+], ids=["cv", "sweep", "report-timeseries", "report-keywords"])
+def test_report_commands_echo_the_csv_and_write_a_chart_only_when_asked(
+        pipeline, tmp_path, capsys, argv, has_chart):
+    for svg in (False, True) if has_chart else (False,):
+        outdir = tmp_path / f"svg_{svg}"
+        outdir.mkdir()
+        out, chart = outdir / "report.csv", outdir / "chart.svg"
+        capsys.readouterr()
+        assert main([str(a) for a in argv(pipeline)] + ["--out", str(out), "--print"]
+                    + (["--svg", str(chart)] if svg else [])) == 0
+        data = out.read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == data
+        assert b"\r" not in data
+        assert sorted(f.name for f in outdir.iterdir()) == ["chart.svg", "report.csv"][not svg:]
+        if svg:
+            ET.fromstring(chart.read_text(encoding="utf-8"))
+
+
+def test_experiment_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """Two processes with different string hashing (so different set and
+    hash orders) write identical artifacts."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": hash_seed}
+        outdir = tmp_path / f"hashseed_{hash_seed}"
+        runs.append((outdir, subprocess.Popen(
+            [sys.executable, str(script), "--outdir", str(outdir)], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)))
+    trees = []
+    for outdir, proc in runs:
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err.decode("utf-8", "replace")
+        trees.append({f.relative_to(outdir).as_posix(): f.read_bytes()
+                      for f in outdir.rglob("*") if f.is_file()})
+    first, second = trees
+    assert sorted(first) == sorted(second)
+    assert len(first) == 14
+    assert [name for name in sorted(first) if first[name] != second[name]] == []
 
 
 def test_parse_sweep_values():

@@ -24,7 +24,6 @@ from tcm_stance.evaluation import (
     metrics_csv_rows,
     stratified_kfold,
     sweep,
-    write_metrics_csv,
 )
 from tcm_stance.features import collect_stats, select_features
 from tcm_stance.stance import Stance
@@ -414,7 +413,7 @@ def test_sweep_validates_inputs():
             sweep(dataset, "feature_count", [value])
 
 
-def test_metrics_csv_shape(tmp_path):
+def test_metrics_csv_shape():
     report = compute_metrics([(S, S), (O, O), (S, O)])
     rows = metrics_csv_rows([(0.5, report), (3000, report)])
     assert rows[0] == METRICS_CSV_HEADER
@@ -425,13 +424,6 @@ def test_metrics_csv_shape(tmp_path):
     for row in rows[1:]:
         for cell in row[2:]:
             assert len(cell.split(".")[1]) == 4
-
-    out = tmp_path / "metrics.csv"
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        write_metrics_csv(fh, [(0.5, report)])
-    text = out.read_bytes()
-    assert b"\r" not in text
-    assert text.decode("utf-8").splitlines()[0] == ",".join(METRICS_CSV_HEADER)
 
 
 def test_format_axis_value():

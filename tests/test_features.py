@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -248,6 +249,14 @@ def test_load_feature_set_rejects_malformed(tmp_path, text):
     path = tmp_path / "features.tsv"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError):
+        load_feature_set(path)
+
+
+def test_load_feature_set_names_the_line_of_a_repeated_term(tmp_path):
+    path = tmp_path / "features.tsv"
+    path.write_text("1\t疗效\t2.0\tsupport\n2\t骗局\t1.5\toppose\n3\t疗效\t1.0\toppose\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: duplicate term '疗效'") + "$"):
         load_feature_set(path)
 
 

@@ -267,6 +267,13 @@ def test_document_round_trip(tmp_path):
     assert a.tokens[1] is b.tokens[0]
 
 
+def test_a_document_carries_no_instance_dict():
+    doc = make_doc("t1", "u1", ("中医",))
+    assert not hasattr(doc, "__dict__")
+    with pytest.raises(AttributeError):
+        doc.tokens = ()
+
+
 def test_read_documents_holds_a_small_vocabulary_once(tmp_path):
     """Documents over a 50-token vocabulary peak at 360-440 bytes each on
     CPython 3.10-3.13; with a str per token occurrence, over 1,000."""

@@ -2,25 +2,26 @@
 
 from __future__ import annotations
 
-import io
 import xml.etree.ElementTree as ET
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import reference_timeseries
 from tcm_stance.evaluation import compute_metrics
 from tcm_stance.features import SelectedTerm, FeatureSet, TermStats, select_features
 from tcm_stance.reports import (
+    GRANULARITIES,
     TimeBucket,
     keyword_report,
+    keywords_csv_rows,
     svg_line_chart,
     sweep_chart,
     timeseries,
     timeseries_chart,
-    write_keywords_csv,
-    write_timeseries_csv,
+    timeseries_csv_rows,
 )
 from tcm_stance.stance import Stance
 
@@ -54,6 +55,10 @@ def test_timeseries_day_granularity():
     items = [(datetime(2013, 2, 27), S), (datetime(2013, 3, 1), O)]
     buckets = timeseries(items, "day")
     assert [b.period for b in buckets] == ["2013-02-27", "2013-02-28", "2013-03-01"]
+    # the last representable day is a bucket too
+    last = [(datetime(9999, 12, 30), S), (datetime(9999, 12, 31, 23, 59, 59), O)]
+    assert timeseries(last, "day") == [TimeBucket("9999-12-30", 1, 0),
+                                       TimeBucket("9999-12-31", 0, 1)]
 
 
 def test_timeseries_empty_and_bad_granularity():
@@ -76,13 +81,43 @@ def test_timeseries_conserves_counts(items):
     assert [b.period for b in buckets] == sorted(b.period for b in buckets)
 
 
+# anchors at years below 1000, year ends and 29 February, plus the extremes
+_ANCHORS = [
+    datetime(1, 1, 1), datetime(4, 2, 29, 12), datetime(999, 12, 31, 23, 59, 59),
+    datetime(1000, 1, 1), datetime(1900, 2, 28, 23), datetime(2000, 2, 29),
+    datetime(2012, 12, 31, 23, 59), datetime(9999, 12, 31, 23, 59, 59),
+]
+
+
+@st.composite
+def dated_stances(draw):
+    """Timestamps within 400 days of one anchor, so day buckets stay few."""
+    anchor = draw(st.one_of(st.sampled_from(_ANCHORS), st.datetimes()))
+    offsets = st.integers(-400 * 86400, 400 * 86400)
+    items = []
+    for offset, stance in draw(st.lists(st.tuples(offsets, st.sampled_from([S, O])),
+                                        max_size=40)):
+        try:
+            items.append((anchor + timedelta(seconds=offset), stance))
+        except OverflowError:  # past year 1 or 9999
+            pass
+    return items
+
+
+@given(dated_stances(), st.sampled_from(GRANULARITIES))
+def test_timeseries_matches_the_string_keyed_reference(items, granularity):
+    buckets = timeseries(items, granularity)
+    assert [(b.period, b.count_support, b.count_oppose) for b in buckets] == (
+        reference_timeseries(items, granularity))
+
+
 def test_timeseries_csv_uses_log_counts():
-    fh = io.StringIO()
-    write_timeseries_csv(fh, [TimeBucket("2013-01", 1000, 0), TimeBucket("2013-02", 1, 10)])
-    lines = fh.getvalue().splitlines()
-    assert lines[0] == "period,count_support,count_oppose,log10_support,log10_oppose"
-    assert lines[1] == "2013-01,1000,0,3.0000,"
-    assert lines[2] == "2013-02,1,10,0.0000,1.0000"
+    rows = timeseries_csv_rows([TimeBucket("2013-01", 1000, 0), TimeBucket("2013-02", 1, 10)])
+    assert rows == [
+        ["period", "count_support", "count_oppose", "log10_support", "log10_oppose"],
+        ["2013-01", "1000", "0", "3.0000", ""],
+        ["2013-02", "1", "10", "0.0000", "1.0000"],
+    ]
 
 
 def _feature_set():
@@ -108,13 +143,11 @@ def test_keyword_report_splits_by_direction():
 
 def test_keywords_csv_shape():
     support, oppose = keyword_report(_feature_set(), top_n=2)
-    fh = io.StringIO()
-    write_keywords_csv(fh, support, oppose)
-    lines = fh.getvalue().splitlines()
-    assert lines[0] == "class,rank,term,score"
-    assert lines[1].startswith("support,1,疗效,")
-    assert lines[3].startswith("oppose,1,骗局,")
-    assert len(lines) == 5
+    rows = keywords_csv_rows(support, oppose)
+    assert rows[0] == ["class", "rank", "term", "score"]
+    assert rows[1][:3] == ["support", "1", "疗效"]
+    assert rows[3][:3] == ["oppose", "1", "骗局"]
+    assert len(rows) == 5
 
 
 SERIES = [("support", [(0.0, 1.0), (1.0, 3.0)]), ("oppose", [(0.0, 2.0), (1.0, 1.0)])]
