@@ -27,6 +27,9 @@ _CANONICAL_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}
 # tab, CR and LF would break a line of the predictions TSV; "#" in a
 # top-level id is reserved for the "<id>#k" ids of repost positions
 _TSV_BREAKERS = frozenset("\t\r\n")
+# json.loads joins escaped surrogate pairs, so a surrogate left in a str is
+# a lone one, which no UTF-8 output can hold
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,15 @@ def format_timestamp(value: datetime) -> str:
     return value.isoformat(timespec="seconds")
 
 
+def unsafe_id(value: str) -> bool:
+    """True when an id holds a tab, CR, LF or lone surrogate, any of which
+    would break the line or the UTF-8 encoding of an output file.  All four
+    are unprintable, so a printable id, the common case, is one C scan."""
+    return not value.isprintable() and (
+        not _TSV_BREAKERS.isdisjoint(value)
+        or (not value.isascii() and _SURROGATE.search(value) is not None))
+
+
 def _flatten(obj: object) -> tuple[Tweet, ...]:
     """Check one record node by node and flatten its repost chain, root first.
 
@@ -81,14 +93,14 @@ def _flatten(obj: object) -> tuple[Tweet, ...]:
             raise ValueError("missing or empty id")
         if not isinstance(uid, str) or not uid:
             raise ValueError("missing or empty user_id")
-        if not _TSV_BREAKERS.isdisjoint(uid):
-            raise ValueError("user_id contains a tab or line break")
+        if unsafe_id(uid):
+            raise ValueError("user_id contains a tab, a line break or a lone surrogate")
         if not isinstance(text, str):
             raise ValueError("text must be a string")
         if tweets:
             tid = f"{tweets[0].id}#{len(tweets)}"
-        elif "#" in tid or not _TSV_BREAKERS.isdisjoint(tid):
-            raise ValueError("id contains '#', a tab or a line break")
+        elif "#" in tid or unsafe_id(tid):
+            raise ValueError("id contains '#', a tab, a line break or a lone surrogate")
         tweets.append(Tweet(tid, uid, text[:TEXT_CLAMP], parse_timestamp(node.get("created_at"))))
         node = node.get("retweet")
     return tuple(tweets)
@@ -118,8 +130,8 @@ def load_tweets(path: str | Path) -> tuple[list[tuple[Tweet, ...]], int]:
     chain with the root first, plus a count of skipped lines: malformed ones
     (invalid UTF-8 and JSON nested too deep to parse included), chains deeper
     than MAX_CHAIN_DEPTH, repeats of a root id already kept, and records whose
-    id contains "#", a tab, CR or LF or whose chain has a user_id with a tab,
-    CR or LF.  An unreadable file raises OSError.
+    id contains "#" or an ``unsafe_id`` character or whose chain has a
+    user_id with one.  An unreadable file raises OSError.
     """
     seen: set[str] = set()
 

@@ -10,10 +10,11 @@ import unicodedata
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import repeat
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from .corpus import Tweet, format_timestamp, parse_timestamp, write_jsonl
+from .corpus import Tweet, format_timestamp, parse_timestamp, unsafe_id
 from .resources import Resources, TermList, read_lines
 from .stance import Stance
 
@@ -60,25 +61,25 @@ def segment(text: str, lexicon: TermList) -> list[str]:
     """Forward maximum matching: longest lexicon prefix wins, single character
     fallback.  Concatenating the tokens reproduces the input exactly.
 
-    At each position only the lengths the lexicon's first-character table
-    allows are probed: from the longest term starting with that character
-    (capped at MAX_MATCH) down to 2."""
+    At each position only the lengths above 1 that some lexicon term starting
+    with that character has are probed, longest first, up to MAX_MATCH and
+    the end of the text."""
     tokens: list[str] = []
     append = tokens.append
-    longest = lexicon.longest_by_first_char.get
+    lengths_of = lexicon.lengths_by_first_char.get
     contains = lexicon.__contains__
     i, n = 0, len(text)
     while i < n:
         match = text[i]
-        # length-1 lookups are skipped: a single-char lexicon hit and the
-        # fallback emit the same token either way
-        top = longest(match, 0)
-        if top > 1:
-            for length in range(min(MAX_MATCH, top, n - i), 1, -1):
-                cand = text[i:i + length]
-                if contains(cand):
-                    match = cand
-                    break
+        lengths = lengths_of(match)
+        if lengths:
+            limit = n - i if n - i < MAX_MATCH else MAX_MATCH
+            for length in lengths:
+                if length <= limit:
+                    cand = text[i:i + length]
+                    if contains(cand):
+                        match = cand
+                        break
         append(match)
         i += len(match)
     return tokens
@@ -117,16 +118,17 @@ def preprocess_tweet(tweet: Tweet, resources: Resources) -> Optional[Document]:
 # ---------------------------------------------------------------------------
 # document JSONL (pipeline-internal file format)
 
-def document_to_obj(doc: Document) -> dict:
-    obj: dict = {
-        "tweet_id": doc.tweet_id,
-        "user_id": doc.user_id,
-        "created_at": format_timestamp(doc.created_at),
-        "tokens": list(doc.tokens),
-    }
-    if doc.label is not None:
-        obj["label"] = doc.label.wire
-    return obj
+# what follows the tokens on a line: the label, if any, and the closing brace
+_LINE_ENDS = {None: "}\n"} | {
+    stance: f',"label":{encode_basestring(stance.wire)}}}\n' for stance in Stance}
+
+
+class _Literals(dict):
+    """str -> its JSON string literal, encoded the first time it is looked up."""
+
+    def __missing__(self, text: str) -> str:
+        literal = self[text] = encode_basestring(text)
+        return literal
 
 
 def document_from_obj(obj: object, strings: dict[str, str]) -> Document:
@@ -140,8 +142,12 @@ def document_from_obj(obj: object, strings: dict[str, str]) -> Document:
     tokens = obj.get("tokens")
     if not isinstance(tweet_id, str) or not tweet_id:
         raise ValueError("missing or empty tweet_id")
+    if unsafe_id(tweet_id):
+        raise ValueError("tweet_id contains a tab, a line break or a lone surrogate")
     if not isinstance(user_id, str) or not user_id:
         raise ValueError("missing or empty user_id")
+    if unsafe_id(user_id):
+        raise ValueError("user_id contains a tab, a line break or a lone surrogate")
     if (not isinstance(tokens, list) or not all(map(isinstance, tokens, repeat(str)))
             or "" in tokens):
         raise ValueError("tokens must be a list of non-empty strings")
@@ -156,7 +162,18 @@ def document_from_obj(obj: object, strings: dict[str, str]) -> Document:
 
 
 def write_documents(path: str | Path, docs: Iterable[Document]) -> None:
-    write_jsonl(path, map(document_to_obj, docs))
+    """Write one compact JSON line per document: the bytes ``write_jsonl``
+    gives the document's object, fields in the order tweet_id, user_id,
+    created_at, tokens and label (when set).  User ids and tokens repeat
+    across documents, so each is encoded once per call."""
+    literal = _Literals().__getitem__
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write = fh.write
+        for doc in docs:
+            write(f'{{"tweet_id":{encode_basestring(doc.tweet_id)},'
+                  f'"user_id":{literal(doc.user_id)},'
+                  f'"created_at":"{format_timestamp(doc.created_at)}",'
+                  f'"tokens":[{",".join(map(literal, doc.tokens))}]{_LINE_ENDS[doc.label]}')
 
 
 def read_documents(path: str | Path) -> list[Document]:

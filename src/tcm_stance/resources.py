@@ -10,6 +10,7 @@ larger files of the same format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -28,17 +29,21 @@ class TermList:
 
     def __post_init__(self) -> None:
         seen = set()
-        longest: dict[str, int] = {}  # first character -> longest term length
+        # first character -> lengths of its terms longer than one character;
+        # the segmenter never probes length 1, since a one-character term
+        # and its single-character fallback are the same token
+        lengths: dict[str, set[int]] = {}
         for term in self.terms:
             if not isinstance(term, str) or not term or term != term.strip():
                 raise ValueError(f"bad term: {term!r}")
             if term in seen:
                 raise ValueError(f"duplicate term: {term!r}")
             seen.add(term)
-            if len(term) > longest.get(term[0], 0):
-                longest[term[0]] = len(term)
+            if len(term) > 1:
+                lengths.setdefault(term[0], set()).add(len(term))
         object.__setattr__(self, "_index", frozenset(self.terms))
-        object.__setattr__(self, "_longest", longest)
+        object.__setattr__(self, "_lengths", {
+            first: tuple(sorted(sizes, reverse=True)) for first, sizes in lengths.items()})
 
     @classmethod
     def of(cls, terms: Iterable[str]) -> "TermList":
@@ -67,18 +72,14 @@ class TermList:
 
     @property
     def max_term_len(self) -> int:
-        return max(self._longest.values(), default=0)  # type: ignore[attr-defined]
+        longest = (sizes[0] for sizes in self._lengths.values())  # type: ignore[attr-defined]
+        return max(longest, default=1 if self.terms else 0)
 
     @property
-    def longest_by_first_char(self) -> Mapping[str, int]:
-        """Length of the longest term starting with each character."""
-        return self._longest  # type: ignore[attr-defined]
-
-    def union(self, other: Iterable[str]) -> "TermList":
-        merged = dict.fromkeys(self.terms)
-        for term in other:
-            merged.setdefault(term, None)
-        return TermList(tuple(merged))
+    def lengths_by_first_char(self) -> Mapping[str, tuple[int, ...]]:
+        """The distinct lengths above 1 of the terms starting with each
+        character, longest first; characters with no such term are absent."""
+        return self._lengths  # type: ignore[attr-defined]
 
 
 # tag → stance; exact string match against profile tags
@@ -201,12 +202,8 @@ def load_resources(paths: Mapping[str, str | Path] | None = None) -> Resources:
     terminology = load_term_list(resolved["terminology_lexicon"])
     stopwords = load_term_list(resolved["stopword_list"])
     ad_keywords = load_term_list(resolved["ad_keywords"])
-    segment_lexicon = (
-        load_term_list(resolved["segmentation_lexicon"])
-        .union(terminology)
-        .union(stopwords)
-        .union(ad_keywords)
-    )
+    segment_lexicon = TermList.of(chain(
+        load_term_list(resolved["segmentation_lexicon"]), terminology, stopwords, ad_keywords))
     return Resources(
         char_map=load_char_map(resolved["char_map"]),
         segment_lexicon=segment_lexicon,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 from datetime import datetime
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -51,7 +52,7 @@ def make_resources(lexicon=(), stopwords=(), ads=(), terminology=(),
     stop = TermList.of(stopwords)
     ad = TermList.of(ads)
     term = TermList.of(terminology)
-    seg = TermList.of(lexicon).union(term).union(stop).union(ad)
+    seg = TermList.of(chain(lexicon, term, stop, ad))
     return Resources(
         char_map=dict(char_map or {}),
         segment_lexicon=seg,

@@ -3,8 +3,9 @@
 Everything here is written in the most literal style available (explicit
 2x2 contingency tables, brute-force grid enumeration with numpy, a dual
 solver that visits every example in every epoch, a fresh cross-validation
-per setting, a segmenter that probes every length, time buckets keyed by
-their labels) so that a mistake in these oracles is unlikely to correlate
+per setting, a segmenter that probes every length, a lexicon merged one
+list at a time, documents written through the JSON encoder, time buckets
+keyed by their labels) so that a mistake in these oracles is unlikely to correlate
 with a mistake in the optimized code under test.
 """
 
@@ -18,9 +19,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from tcm_stance.corpus import format_timestamp, write_jsonl
 from tcm_stance.evaluation import CVResult, Prediction, compute_metrics, stratified_kfold
 from tcm_stance.features import collect_stats, select_features, vectorize
-from tcm_stance.preprocess import MAX_MATCH
+from tcm_stance.preprocess import MAX_MATCH, Document
 from tcm_stance.resources import CharMap, TermList
 from tcm_stance.stance import Stance
 from tcm_stance.supervision import LabeledDataset
@@ -231,6 +233,36 @@ def reference_segment(text: str, lexicon: TermList) -> list[str]:
         tokens.append(match)
         i += len(match)
     return tokens
+
+
+def reference_union(first: TermList, *others: Iterable[str]) -> TermList:
+    """Append each list's new terms to ``first`` in turn, one TermList per
+    list, as ``load_resources`` once merged the segmentation lexicon."""
+    merged = first
+    for other in others:
+        terms = dict.fromkeys(merged.terms)
+        for term in other:
+            terms.setdefault(term, None)
+        merged = TermList(tuple(terms))
+    return merged
+
+
+def document_to_obj(doc: Document) -> dict:
+    """A document as the JSON object of its line in a documents file."""
+    obj: dict = {
+        "tweet_id": doc.tweet_id,
+        "user_id": doc.user_id,
+        "created_at": format_timestamp(doc.created_at),
+        "tokens": list(doc.tokens),
+    }
+    if doc.label is not None:
+        obj["label"] = doc.label.wire
+    return obj
+
+
+def reference_write_documents(path, docs: Iterable[Document]) -> None:
+    """Each document's object through the package's compact JSONL writer."""
+    write_jsonl(path, map(document_to_obj, docs))
 
 
 def reference_to_simplified(text: str, char_map: CharMap) -> str:

@@ -298,6 +298,33 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_prep_skips_a_record_whose_id_holds_a_lone_surrogate(tmp_path, capsys):
+    tweets = tmp_path / "tweets.jsonl"
+    records = [{"id": "a\ud800", "user_id": "u1"}, {"id": "b", "user_id": "u\udfff"},
+               {"id": "good", "user_id": "u1"}]
+    tweets.write_text("".join(
+        json.dumps({**r, "text": "中医针灸有效", "created_at": "2013-05-17T12:00:00"}) + "\n"
+        for r in records), encoding="utf-8")
+    out = tmp_path / "docs.jsonl"
+    assert main(["prep", "--tweets", str(tweets), "--out", str(out)]) == 0
+    assert [d.tweet_id for d in read_documents(out)] == ["good"]
+    assert "(2 malformed or duplicate lines skipped)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tweet_id", "x\ty"), ("tweet_id", "x\r"), ("user_id", "u\n1"), ("user_id", "u\ud800")])
+def test_predict_refuses_ids_that_would_corrupt_the_tsv(pipeline, tmp_path, capsys, field, value):
+    doc = {"tweet_id": "t1", "user_id": "u1", "created_at": "2013-05-17T12:00:00",
+           "tokens": ["经络", "穴位"], field: value}
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    rc = main(["predict", "--docs", str(docs), "--model", str(pipeline["model"]),
+               "--features", str(pipeline["features"]), "--out", str(tmp_path / "p.tsv")])
+    assert rc == 1
+    assert f"{docs}:1: {field} contains" in capsys.readouterr().err
+    assert not (tmp_path / "p.tsv").exists()
+
+
 def test_runtime_errors_exit_1(tmp_path, capsys):
     rc = main(["prep", "--tweets", str(tmp_path / "absent.jsonl"),
                "--out", str(tmp_path / "docs.jsonl")])

@@ -225,6 +225,21 @@ def test_load_tweets_skips_ids_that_would_break_a_tsv_line(tmp_path, record):
     assert skipped == 1
 
 
+@pytest.mark.parametrize("record", [
+    tweet_obj(tid="a\ud800"),
+    tweet_obj(uid="a\ud800"),
+    tweet_obj(tid="\udfff中"),
+    tweet_obj(retweet=tweet_obj(tid="t0", uid="u\udc00")),
+])
+def test_load_tweets_skips_ids_with_a_lone_surrogate(tmp_path, record):
+    path = tmp_path / "tweets.jsonl"
+    path.write_text("".join(json.dumps(o) + "\n" for o in
+                            [tweet_obj(tid="t0"), record, tweet_obj(tid="t2")]), encoding="utf-8")
+    records, skipped = load_tweets(path)
+    assert [r[0].id for r in records] == ["t0", "t2"]
+    assert skipped == 1
+
+
 def test_load_tweets_missing_file_raises(tmp_path):
     with pytest.raises(OSError):
         load_tweets(tmp_path / "absent.jsonl")

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import random
+import tempfile
 from dataclasses import replace
+from datetime import datetime
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -15,6 +18,7 @@ from oracles import (
     reference_remove_stopwords,
     reference_segment,
     reference_to_simplified,
+    reference_write_documents,
 )
 from tcm_stance.corpus import Tweet
 from tcm_stance.preprocess import (
@@ -173,20 +177,57 @@ def test_segment_matches_the_probe_every_length_reference(case):
     assert segment(text, lex) == reference_segment(text, lex)
 
 
-class CountingTermList(TermList):
-    """Counts membership tests, as the benchmark's probe counter does."""
+@st.composite
+def gapped_lexicon_and_text(draw):
+    """Per first character, terms of a few lengths with gaps between them
+    (say only 2 and 5), some longer than MAX_MATCH; and a text that ends in a
+    cut-short term, so that candidates would run past its end."""
+    alphabet = "中医药针"
+    sizes = st.sets(st.sampled_from([1, 2, 3, 5, 7, MAX_MATCH, MAX_MATCH + 1, MAX_MATCH + 4]),
+                    max_size=3)
+    terms = []
+    for first in alphabet:
+        for size in draw(sizes):
+            rests = st.text(alphabet=alphabet, min_size=size - 1, max_size=size - 1)
+            terms += [first + rest for rest in draw(st.lists(rests, min_size=1, max_size=2))]
+    filler = st.text(alphabet=alphabet + "好x", max_size=3)
+    piece = st.one_of(filler, st.sampled_from(terms)) if terms else filler
+    parts = draw(st.lists(piece, max_size=10))
+    tail = draw(piece)
+    text = "".join(parts) + tail[:draw(st.integers(0, max(len(tail) - 1, 0)))]
+    return TermList.of(terms), text
 
-    probes = 0
+
+@given(gapped_lexicon_and_text())
+def test_segment_matches_the_reference_on_gapped_lengths(case):
+    lex, text = case
+    assert segment(text, lex) == reference_segment(text, lex)
+
+
+@given(gapped_lexicon_and_text())
+def test_segment_probes_only_lengths_its_lexicon_holds(case):
+    lex, text = case
+    _tokens, probes = count_probes(segment, text, lex)
+    table = lex.lengths_by_first_char
+    for cand in probes:
+        assert len(cand) in table[cand[0]] and 2 <= len(cand) <= MAX_MATCH, cand
+
+
+class CountingTermList(TermList):
+    """Records membership tests, as the benchmark's probe counter counts them."""
+
+    probes: list[str] = []
 
     def __contains__(self, term):
-        CountingTermList.probes += 1
+        CountingTermList.probes.append(term)
         return super().__contains__(term)
 
 
 def count_probes(segmenter, text, lexicon):
+    """The tokens and every string probed, in order."""
     counting = object.__new__(CountingTermList)
     counting.__dict__.update(vars(lexicon))
-    CountingTermList.probes = 0
+    CountingTermList.probes = []
     tokens = segmenter(text, counting)
     return tokens, CountingTermList.probes
 
@@ -197,7 +238,7 @@ def test_segment_probes_go_through_the_lexicon_and_fewer_than_the_reference(defa
     tokens, probes = count_probes(segment, text, lex)
     ref_tokens, ref_probes = count_probes(reference_segment, text, lex)
     assert tokens == ref_tokens
-    assert 0 < probes < ref_probes
+    assert 0 < len(probes) < len(ref_probes)
 
 
 def test_remove_stopwords_drops_noise_tokens():
@@ -267,6 +308,42 @@ def test_document_round_trip(tmp_path):
     assert a.tokens[1] is b.tokens[0]
 
 
+# the characters JSON escapes or that an encoder might: quote, backslash,
+# C0 controls, DEL, the line and paragraph separators, non-BMP characters
+_JSON_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\x7f\u2028\u2029\U0001f600中a'),
+                       st.characters(max_codepoint=0x1f),
+                       st.characters(blacklist_categories=("Cs",))),
+    min_size=1, max_size=8)
+_DOCUMENTS = st.builds(
+    Document,
+    tweet_id=_JSON_TEXT,
+    user_id=st.one_of(_JSON_TEXT, st.sampled_from(["u1", "用户甲"])),
+    created_at=st.datetimes(min_value=datetime(1, 1, 1),
+                            max_value=datetime(9999, 12, 31, 23, 59, 59)),
+    tokens=st.lists(st.one_of(_JSON_TEXT, st.sampled_from(["中医", "u1"])), max_size=6).map(tuple),
+    label=st.sampled_from([None, *Stance]),
+)
+
+
+@given(st.lists(_DOCUMENTS, max_size=8))
+def test_write_documents_matches_the_reference_encoder(docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        written, reference = Path(tmp) / "written.jsonl", Path(tmp) / "reference.jsonl"
+        write_documents(written, docs)
+        reference_write_documents(reference, docs)
+        assert written.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("field", ["tweet_id", "user_id", "tokens"])
+def test_both_document_writers_refuse_a_lone_surrogate(tmp_path, field):
+    doc = replace(make_doc("t1", "u1", ("中医",)),
+                  **{field: ("中医", "a\ud800") if field == "tokens" else "a\ud800"})
+    for writer in (write_documents, reference_write_documents):
+        with pytest.raises(UnicodeEncodeError):
+            writer(tmp_path / "docs.jsonl", [doc])
+
+
 def test_a_document_carries_no_instance_dict():
     doc = make_doc("t1", "u1", ("中医",))
     assert not hasattr(doc, "__dict__")
@@ -304,6 +381,11 @@ def test_read_documents_reports_line_numbers(tmp_path):
     '{"tweet_id":"t1","user_id":"u1","created_at":"2013-05-17T12:00:00","tokens":"x"}',
     '{"tweet_id":"t1","user_id":"u1","created_at":"2013-05-17T12:00:00","tokens":[""]}',
     '{"tweet_id":"t1","user_id":"u1","created_at":"2013-05-17T12:00:00","tokens":["x"],"label":"meh"}',
+    '{"tweet_id":"x\\ty","user_id":"u1","created_at":"2013-05-17T12:00:00","tokens":["x"]}',
+    '{"tweet_id":"x\\r","user_id":"u1","created_at":"2013-05-17T12:00:00","tokens":["x"]}',
+    '{"tweet_id":"x\\ud800","user_id":"u1","created_at":"2013-05-17T12:00:00","tokens":["x"]}',
+    '{"tweet_id":"t1","user_id":"u\\n1","created_at":"2013-05-17T12:00:00","tokens":["x"]}',
+    '{"tweet_id":"t1","user_id":"用\\udfff","created_at":"2013-05-17T12:00:00","tokens":["x"]}',
     '[]',
     pytest.param("[" * 200000 + "]" * 200000, id="nested-too-deep-for-json"),
 ])

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+
+from oracles import reference_union
 
 from tcm_stance.resources import (
     DEFAULT_PATHS,
@@ -26,11 +30,13 @@ def test_term_list_of_normalizes():
     assert tl.max_term_len == 2
 
 
-def test_term_list_longest_term_per_first_character():
-    tl = TermList.of(["中医药", "中医", "爱好", "a", "马兜铃酸"])
-    assert tl.longest_by_first_char == {"中": 3, "爱": 2, "a": 1, "马": 4}
+def test_term_list_lengths_per_first_character():
+    tl = TermList.of(["中医药", "中医", "中药", "中", "爱好", "a", "马兜铃酸"])
+    assert tl.lengths_by_first_char == {"中": (3, 2), "爱": (2,), "马": (4,)}
     assert tl.max_term_len == 4
-    assert TermList.of([]).longest_by_first_char == {}
+    assert TermList.of(["a", "中"]).lengths_by_first_char == {}
+    assert TermList.of(["a", "中"]).max_term_len == 1
+    assert TermList.of([]).lengths_by_first_char == {}
     assert TermList.of([]).max_term_len == 0
 
 
@@ -43,9 +49,38 @@ def test_term_list_rejects_raw_duplicates_and_blanks():
         TermList((" 中医",))
 
 
-def test_term_list_union_keeps_order():
-    tl = TermList.of(["a", "b"]).union(["b", "c"])
-    assert tuple(tl) == ("a", "b", "c")
+def _segmentation_lists(paths) -> list[TermList]:
+    return [load_term_list(paths[key]) for key in
+            ("segmentation_lexicon", "terminology_lexicon", "stopword_list", "ad_keywords")]
+
+
+def test_the_merged_lexicon_equals_the_chained_unions(default_resources):
+    merged = default_resources.segment_lexicon
+    assert merged.terms == reference_union(*_segmentation_lists(DEFAULT_PATHS)).terms
+
+
+def test_the_merged_lexicon_keeps_first_occurrences_of_overlapping_lists(tmp_path):
+    """Four generated lists over a small alphabet, so that terms repeat within
+    and across them; blanks, comments and padded terms included."""
+    rng = random.Random(0)
+    paths = {}
+    for key in ("segmentation_lexicon", "terminology_lexicon", "stopword_list", "ad_keywords"):
+        lines = ["# generated"]
+        for _ in range(300):
+            term = "".join(rng.choices("中医药针灸", k=rng.randint(1, 4)))
+            lines.append(rng.choice([term, f" {term} ", "", term]))
+        paths[key] = tmp_path / f"{key}.txt"
+        paths[key].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lists = _segmentation_lists(paths)
+    merged = load_resources(paths).segment_lexicon
+    assert merged.terms == reference_union(*lists).terms
+    assert len(merged) < sum(map(len, lists))
+    table: dict[str, set[int]] = {}
+    for term in merged:
+        if len(term) > 1:
+            table.setdefault(term[0], set()).add(len(term))
+    assert merged.lengths_by_first_char == {
+        first: tuple(sorted(sizes, reverse=True)) for first, sizes in table.items()}
 
 
 def test_load_term_list(tmp_path):
