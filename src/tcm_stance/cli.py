@@ -14,8 +14,9 @@ import math
 import sys
 from dataclasses import fields
 from datetime import datetime
+from itertools import starmap
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import evaluation, reports, svm, synth
 from .config import KEY_PARSERS, PipelineConfig, build_config, parse_bool, parse_config_file
@@ -27,9 +28,16 @@ from .corpus import (
     parse_timestamp,
     split_retweets,
 )
-from .evaluation import Prediction, cross_validate
-from .features import collect_stats, load_feature_set, save_feature_set, select_features, vectorize
-from .preprocess import preprocess_tweet, read_documents, write_documents
+from .evaluation import cross_validate
+from .features import (
+    collect_stats,
+    load_feature_set,
+    presence_columns,
+    save_feature_set,
+    select_features,
+    vectorize,
+)
+from .preprocess import iter_documents, preprocess_tweet, read_documents, write_documents
 from .resources import read_lines
 from .stance import Stance
 from .supervision import LabeledDataset, filter_topic, label_corpus
@@ -73,35 +81,36 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 # predictions TSV: tweet_id, user_id, created_at, stance, margin
 
-def write_predictions_tsv(
-    path: Path, rows: Sequence[tuple[str, str, datetime, Stance, float]]
-) -> None:
+PredictionRow = tuple[str, str, datetime, Stance, float]
+
+
+def _prediction_line(tweet_id: str, user_id: str, created_at: datetime, stance: Stance,
+                     margin: float) -> str:
+    return f"{tweet_id}\t{user_id}\t{format_timestamp(created_at)}\t{stance.wire}\t{margin:.6f}\n"
+
+
+def write_predictions_tsv(path: Path, rows: Iterable[PredictionRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for tweet_id, user_id, created_at, stance, margin in rows:
-            fh.write(
-                f"{tweet_id}\t{user_id}\t{format_timestamp(created_at)}\t{stance.wire}\t{margin:.6f}\n"
-            )
+        fh.writelines(starmap(_prediction_line, rows))
 
 
-def read_predictions_tsv(path: Path) -> list[tuple[str, str, datetime, Stance, float]]:
-    rows = []
+def iter_predictions_tsv(path: Path) -> Iterator[PredictionRow]:
+    """Stream the rows of a predictions TSV; a bad line stops the stream
+    with ``path:line``."""
     for lineno, line in read_lines(path):
         parts = line.split("\t")
         if len(parts) != 5:
             raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
         try:
-            rows.append(
-                (
-                    parts[0],
-                    parts[1],
-                    parse_timestamp(parts[2]),
-                    Stance.from_wire(parts[3]),
-                    float(parts[4]),
-                )
-            )
+            row = (parts[0], parts[1], parse_timestamp(parts[2]), Stance.from_wire(parts[3]),
+                   float(parts[4]))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return rows
+        yield row
+
+
+def read_predictions_tsv(path: Path) -> list[PredictionRow]:
+    return list(iter_predictions_tsv(path))
 
 
 def _write_report(args: argparse.Namespace, rows: list[list[str]],
@@ -313,17 +322,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = svm.load_model(args.model)
     feature_set = load_feature_set(args.features)
-    digest = feature_set.digest()
-    docs = read_documents(args.docs)
-    rows = []
-    for doc in docs:
-        stance, margin = svm.predict(model, vectorize(doc, feature_set), expected_digest=digest)
-        rows.append((doc.tweet_id, doc.user_id, doc.created_at, stance, margin))
-    write_predictions_tsv(args.out, rows)
-    n_support = sum(1 for r in rows if r[3] is Stance.SUPPORTING)
+    svm.check_columns(model, feature_set.digest(), len(feature_set))
+    index, weights = feature_set.index, model.weights
+    # the encoded output lines, written after the last document, so that a
+    # refused document leaves no output file
+    out = bytearray()
+    n_docs = n_support = 0
+    for doc in iter_documents(args.docs):
+        stance, margin = svm.score(weights, presence_columns(doc.tokens, index))
+        n_docs += 1
+        n_support += stance is Stance.SUPPORTING
+        out += _prediction_line(doc.tweet_id, doc.user_id, doc.created_at, stance,
+                                margin).encode("utf-8")
+    args.out.write_bytes(out)
     _info(
-        f"predict: {len(rows)} documents, {n_support} support / "
-        f"{len(rows) - n_support} oppose -> {args.out}"
+        f"predict: {n_docs} documents, {n_support} support / "
+        f"{n_docs - n_support} oppose -> {args.out}"
     )
     return 0
 
@@ -331,13 +345,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_adjust(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     rows = read_predictions_tsv(args.predictions)
-    predictions = [Prediction(user_id, tweet_id, stance) for tweet_id, user_id, _, stance, _ in rows]
-    adjusted = evaluation.adjust(predictions, cfg.gamma_min)
-    out_rows = [
-        (row[0], row[1], row[2], adj.stance, row[4]) for row, adj in zip(rows, adjusted)
-    ]
-    write_predictions_tsv(args.out, out_rows)
-    changed = sum(1 for row, adj in zip(rows, adjusted) if row[3] is not adj.stance)
+    majority = evaluation.majorities(((row[1], row[3]) for row in rows), cfg.gamma_min)
+    write_predictions_tsv(args.out, (
+        (tweet_id, user_id, created_at, majority.get(user_id, stance), margin)
+        for tweet_id, user_id, created_at, stance, margin in rows))
+    changed = sum(1 for row in rows if majority.get(row[1], row[3]) is not row[3])
     _info(
         f"adjust: gamma_min {cfg.gamma_min:g}, {changed} of {len(rows)} predictions "
         f"flipped to the author majority -> {args.out}"
@@ -346,10 +358,9 @@ def cmd_adjust(args: argparse.Namespace) -> int:
 
 
 def cmd_report_timeseries(args: argparse.Namespace) -> int:
-    rows = read_predictions_tsv(args.predictions)
-    buckets = reports.timeseries(
-        [(created_at, stance) for _, _, created_at, stance, _ in rows], args.granularity
-    )
+    rows = iter_predictions_tsv(args.predictions)
+    buckets = reports.timeseries(((created_at, stance) for _, _, created_at, stance, _ in rows),
+                                 args.granularity)
     _write_report(args, reports.timeseries_csv_rows(buckets),
                   lambda: reports.timeseries_chart(buckets, args.granularity))
     _info(f"report-timeseries: {len(buckets)} {args.granularity} buckets -> {args.out}")

@@ -28,12 +28,13 @@ from .features import (
     SparseVector,
     collect_stats,
     fold_rankings,
+    presence_columns,
     select_features,
 )
 from .preprocess import Document
 from .stance import Stance
 from .supervision import LabeledDataset
-from .svm import TrainConfig, TrainMeta, predict, train
+from .svm import TrainConfig, TrainMeta, score, train
 
 
 @dataclass(frozen=True)
@@ -170,11 +171,11 @@ def _run_plan(
 ) -> list[tuple[list[Stance], tuple[TrainMeta, ...]]]:
     """Every (K, training config) setting over one plan, fold by fold.
 
-    A fold vectorizes each of its documents once: the sorted columns of its
-    distinct terms in the ranking cut at the largest K in use, as
-    ``vectorize`` would give them.  A smaller K keeps the columns below K,
-    which is the vector of the K-prefix.  Equal column tuples share one
-    SparseVector per (fold, K), so the solver shares their rows too.  Per
+    A fold vectorizes each of its documents once: its ``presence_columns``
+    in the ranking cut at the largest K in use.  A smaller K keeps the
+    columns below K, which is the vector of the K-prefix.  Equal column
+    tuples share one SparseVector per (fold, K), so the solver shares their
+    rows too.  Test vectors are scored as presence vectors (``score``).  Per
     setting only the predicted stances (pooled: fold order, then test index
     order) and the fits (fold order) are kept.
     """
@@ -185,9 +186,7 @@ def _run_plan(
     fits: list[list[TrainMeta]] = [[] for _ in settings]
     for train_idx, test_idx, ranking in plan:
         index = {t.term: j for j, t in enumerate(ranking[:max_k])}
-        column = index.__getitem__
-        columns = [tuple(sorted(map(column, index.keys() & docs[i].tokens)))
-                   for i in (*train_idx, *test_idx)]
+        columns = [presence_columns(docs[i].tokens, index) for i in (*train_idx, *test_idx)]
         for count in dict.fromkeys(count for count, _ in settings):
             vectors = _shared_vectors(columns, count)
             data = list(zip(vectors, (labels[i] for i in train_idx)))
@@ -196,7 +195,7 @@ def _run_plan(
                 if setting_count == count:
                     model = train(data, cfg, n_features=min(count, len(ranking)))
                     fits[s].append(model.train_meta)
-                    stances[s].extend(predict(model, x)[0] for x in test)
+                    stances[s].extend(score(model.weights, x.indices)[0] for x in test)
     return [(pooled, tuple(meta)) for pooled, meta in zip(stances, fits)]
 
 
@@ -244,23 +243,30 @@ def gamma_of(count_support: int, count_oppose: int) -> float:
     return max(count_support, count_oppose) / total
 
 
-def adjust(predictions: Sequence[Prediction], gamma_min: float) -> list[Prediction]:
-    """Snap each sufficiently consistent user to their majority stance.
+def majorities(votes: Iterable[tuple[str, Stance]], gamma_min: float) -> dict[str, Stance]:
+    """user_id -> majority stance of each sufficiently consistent user, from
+    (user_id, predicted stance) pairs.
 
     A user qualifies when a strict majority exists (gamma > 0.5) and the
-    majority share reaches gamma_min.  Idempotent; never flips a majority.
+    majority share reaches gamma_min.
     """
     if not 0.5 <= gamma_min <= 1.0:
         raise ValueError("gamma_min must be in [0.5, 1.0]")
     counts: dict[str, list[int]] = {}
-    for p in predictions:
-        slot = 0 if p.stance is Stance.SUPPORTING else 1
-        counts.setdefault(p.user_id, [0, 0])[slot] += 1
+    for user_id, stance in votes:
+        counts.setdefault(user_id, [0, 0])[0 if stance is Stance.SUPPORTING else 1] += 1
     majority: dict[str, Stance] = {}
     for uid, (c_s, c_o) in counts.items():
         gamma = gamma_of(c_s, c_o)
         if gamma > 0.5 and gamma >= gamma_min:
             majority[uid] = Stance.SUPPORTING if c_s > c_o else Stance.OPPOSING
+    return majority
+
+
+def adjust(predictions: Sequence[Prediction], gamma_min: float) -> list[Prediction]:
+    """Snap each sufficiently consistent user to their majority stance
+    (``majorities``).  Idempotent; never flips a majority."""
+    majority = majorities(((p.user_id, p.stance) for p in predictions), gamma_min)
     return [
         Prediction(p.user_id, p.tweet_id, majority[p.user_id]) if p.user_id in majority else p
         for p in predictions

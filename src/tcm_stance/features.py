@@ -17,7 +17,7 @@ import heapq
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .preprocess import Document
 from .resources import read_lines
@@ -206,10 +206,15 @@ class SparseVector:
             raise ValueError("indices must be non-negative")
 
 
+def presence_columns(tokens: Iterable[str], index: Mapping[str, int]) -> tuple[int, ...]:
+    """The sorted columns, in a term -> column ``index``, of the distinct
+    tokens it holds: the indices of the tokens' presence vector."""
+    return tuple(sorted(map(index.__getitem__, index.keys() & tokens)))
+
+
 def vectorize(doc: Document, feature_set: FeatureSet) -> SparseVector:
     index = feature_set.index  # type: ignore[attr-defined]
-    cols = {index[t] for t in doc.tokens if t in index}
-    return SparseVector(tuple(sorted(cols)))
+    return SparseVector(presence_columns(doc.tokens, index))
 
 
 # ---------------------------------------------------------------------------

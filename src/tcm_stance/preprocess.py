@@ -12,7 +12,7 @@ from datetime import datetime
 from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .corpus import Tweet, format_timestamp, parse_timestamp, unsafe_id
 from .resources import Resources, TermList, read_lines
@@ -131,10 +131,23 @@ class _Literals(dict):
         return literal
 
 
-def document_from_obj(obj: object, strings: dict[str, str]) -> Document:
+class SharedStrings(dict):
+    """str -> the first equal str looked up, so that documents read together
+    share one string per distinct token and user id.  A string is checked
+    with the id rule (``unsafe_id``) the first time it is looked up: a token
+    that holds a tab, CR, LF or lone surrogate could not be written to a
+    feature or predictions TSV."""
+
+    def __missing__(self, text: str) -> str:
+        if unsafe_id(text):
+            raise ValueError("token contains a tab, a line break or a lone surrogate")
+        self[text] = text
+        return text
+
+
+def document_from_obj(obj: object, strings: SharedStrings) -> Document:
     """Check one decoded record and build its Document.  The user id and
-    each token become the first equal ``str`` that ``strings`` has seen, so
-    documents read together share one string per distinct value."""
+    each token become their shared string in ``strings``."""
     if not isinstance(obj, dict):
         raise ValueError("document record must be a JSON object")
     tweet_id = obj.get("tweet_id")
@@ -154,9 +167,9 @@ def document_from_obj(obj: object, strings: dict[str, str]) -> Document:
     label = obj.get("label")
     return Document(
         tweet_id=tweet_id,
-        user_id=strings.setdefault(user_id, user_id),
+        user_id=strings[user_id],
         created_at=parse_timestamp(obj.get("created_at")),
-        tokens=tuple(map(strings.setdefault, tokens, tokens)),
+        tokens=tuple(map(strings.__getitem__, tokens)),
         label=None if label is None else Stance.from_wire(label),
     )
 
@@ -176,17 +189,22 @@ def write_documents(path: str | Path, docs: Iterable[Document]) -> None:
                   f'"tokens":[{",".join(map(literal, doc.tokens))}]{_LINE_ENDS[doc.label]}')
 
 
-def read_documents(path: str | Path) -> list[Document]:
-    docs = []
+def iter_documents(path: str | Path) -> Iterator[Document]:
+    """Stream the documents of a documents file; a bad record stops the
+    stream with ``path:line``."""
     # json.loads gives every occurrence its own str; one per distinct token
     # and user id holds a labeled set in about half the memory
-    strings: dict[str, str] = {}
+    strings = SharedStrings()
     for lineno, line in read_lines(path):
         try:
-            docs.append(document_from_obj(json.loads(line), strings))
+            doc = document_from_obj(json.loads(line), strings)
         except (ValueError, TypeError, RecursionError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return docs
+        yield doc
+
+
+def read_documents(path: str | Path) -> list[Document]:
+    return list(iter_documents(path))
 
 
 def relabel(doc: Document, label: Optional[Stance]) -> Document:

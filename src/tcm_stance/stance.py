@@ -9,6 +9,10 @@ class Stance(enum.Enum):
     SUPPORTING = "support"
     OPPOSING = "oppose"
 
+    def __init__(self, wire: str) -> None:
+        # the on-disk spelling, a plain attribute: every written row reads it
+        self.wire = wire
+
     @classmethod
     def from_wire(cls, word: str) -> "Stance":
         """Parse the on-disk spelling ("support" / "oppose")."""
@@ -16,10 +20,6 @@ class Stance(enum.Enum):
             return _BY_WIRE[word]
         except (KeyError, TypeError):
             raise ValueError(f"unknown stance word: {word!r}") from None
-
-    @property
-    def wire(self) -> str:
-        return self.value
 
     def other(self) -> "Stance":
         return Stance.OPPOSING if self is Stance.SUPPORTING else Stance.SUPPORTING

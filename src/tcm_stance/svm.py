@@ -40,7 +40,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .features import SparseVector
 from .resources import read_lines
@@ -331,23 +331,42 @@ def train(
     return Model(sol.weights, feature_set_digest, meta)
 
 
+def check_columns(model: Model, digest: str | None, n_columns: int) -> None:
+    """Refuse vectors built from another feature set than the model's (when
+    a digest is given) or with a column at or past its n_features; n_columns
+    is one more than the largest column."""
+    if digest is not None and digest != model.feature_set_digest:
+        raise ValueError("feature set digest mismatch between model and vectorizer")
+    if n_columns > model.n_features:
+        raise ValueError("vector index out of range for this model")
+
+
+def score(
+    weights: Sequence[float], indices: Iterable[int], values: Iterable[float] | None = None
+) -> tuple[Stance, float]:
+    """Stance and margin of a vector: the bias plus w[j] * v per entry, added
+    in index order; a margin of exactly 0 goes to supporting.  Without
+    values the vector is a presence vector, whose w[j] * 1.0 is w[j].  The
+    indices are not checked (``check_columns``)."""
+    margin = weights[-1]
+    if values is None:
+        for j in indices:
+            margin += weights[j]
+    else:
+        for j, v in zip(indices, values):
+            margin += weights[j] * v
+    return (Stance.OPPOSING if margin < 0.0 else Stance.SUPPORTING), margin
+
+
 def predict(
     model: Model,
     x: SparseVector,
     *,
     expected_digest: str | None = None,
 ) -> tuple[Stance, float]:
-    """Margin-sign classification; a margin of exactly 0 goes to supporting."""
-    if expected_digest is not None and expected_digest != model.feature_set_digest:
-        raise ValueError("feature set digest mismatch between model and vectorizer")
-    w = model.weights
-    if x.indices and x.indices[-1] >= len(w) - 1:
-        raise ValueError("vector index out of range for this model")
-    margin = w[-1]
-    for j, v in zip(x.indices, x.values):
-        margin += w[j] * v
-    stance = Stance.OPPOSING if margin < 0.0 else Stance.SUPPORTING
-    return stance, margin
+    """Margin-sign classification of one checked vector (``score``)."""
+    check_columns(model, expected_digest, x.indices[-1] + 1 if x.indices else 0)
+    return score(model.weights, x.indices, x.values)
 
 
 def dual_objective(

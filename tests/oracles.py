@@ -5,7 +5,8 @@ Everything here is written in the most literal style available (explicit
 solver that visits every example in every epoch, a fresh cross-validation
 per setting, a segmenter that probes every length, a lexicon merged one
 list at a time, documents written through the JSON encoder, time buckets
-keyed by their labels) so that a mistake in these oracles is unlikely to correlate
+keyed by their labels, the predict and adjust commands as list pipelines
+over per-row objects) so that a mistake in these oracles is unlikely to correlate
 with a mistake in the optimized code under test.
 """
 
@@ -19,10 +20,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from tcm_stance.corpus import format_timestamp, write_jsonl
+from tcm_stance.corpus import format_timestamp, parse_timestamp, write_jsonl
 from tcm_stance.evaluation import CVResult, Prediction, compute_metrics, stratified_kfold
-from tcm_stance.features import collect_stats, select_features, vectorize
-from tcm_stance.preprocess import MAX_MATCH, Document
+from tcm_stance.features import collect_stats, load_feature_set, select_features, vectorize
+from tcm_stance.preprocess import MAX_MATCH, Document, read_documents
 from tcm_stance.resources import CharMap, TermList
 from tcm_stance.stance import Stance
 from tcm_stance.supervision import LabeledDataset
@@ -32,6 +33,7 @@ from tcm_stance.svm import (
     TrainConfig,
     _check_labels,
     _upper_bound,
+    load_model,
     predict,
     train,
 )
@@ -324,3 +326,77 @@ def reference_timeseries(items: Iterable[tuple[datetime, Stance]],
     keys = sorted(counts)
     return [(period, *counts.get(period, [0, 0]))
             for period in _iter_periods(keys[0], keys[-1], granularity)]
+
+
+# ---------------------------------------------------------------------------
+# predictions TSV commands: every row read into a list, then processed
+
+def reference_write_predictions(path, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for tweet_id, user_id, created_at, stance, margin in rows:
+            fh.write(f"{tweet_id}\t{user_id}\t{format_timestamp(created_at)}\t"
+                     f"{stance.wire}\t{margin:.6f}\n")
+
+
+def reference_read_predictions(path) -> list[tuple]:
+    """Every row of a predictions TSV; errors name the file and line."""
+    rows = []
+    with open(path, encoding="utf-8-sig", newline="\n") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            parts = line.removesuffix("\n").removesuffix("\r").split("\t")
+            if len(parts) != 5:
+                raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
+            try:
+                rows.append((parts[0], parts[1], parse_timestamp(parts[2]),
+                             Stance.from_wire(parts[3]), float(parts[4])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return rows
+
+
+def reference_predict(docs_path, model_path, features_path, out_path) -> None:
+    """Read every document, then per document: check the digest, build the
+    set of its feature columns, check the largest against the model, add
+    w[j] * 1.0 per column to the bias, and keep a row; write the rows last."""
+    model = load_model(model_path)
+    features = load_feature_set(features_path)
+    digest = features.digest()
+    weights = model.weights
+    rows = []
+    for doc in read_documents(docs_path):
+        if digest != model.feature_set_digest:
+            raise ValueError("feature set digest mismatch between model and vectorizer")
+        cols = sorted({features.index[t] for t in doc.tokens if t in features.index})
+        if cols and cols[-1] >= len(weights) - 1:
+            raise ValueError("vector index out of range for this model")
+        margin = weights[-1]
+        for j in cols:
+            margin += weights[j] * 1.0
+        stance = Stance.OPPOSING if margin < 0.0 else Stance.SUPPORTING
+        rows.append((doc.tweet_id, doc.user_id, doc.created_at, stance, margin))
+    reference_write_predictions(out_path, rows)
+
+
+def reference_adjust(predictions_path, out_path, gamma_min: float) -> None:
+    """Every row as a Prediction; a user with a strict majority whose share
+    reaches gamma_min gets it on every row."""
+    rows = reference_read_predictions(predictions_path)
+    predictions = [Prediction(user_id, tweet_id, stance)
+                   for tweet_id, user_id, _, stance, _ in rows]
+    votes: dict[str, list[Stance]] = {}
+    for p in predictions:
+        votes.setdefault(p.user_id, []).append(p.stance)
+    adjusted = []
+    for p in predictions:
+        n_support = votes[p.user_id].count(Stance.SUPPORTING)
+        n_oppose = len(votes[p.user_id]) - n_support
+        share = max(n_support, n_oppose) / len(votes[p.user_id])
+        if n_support != n_oppose and share >= gamma_min:
+            majority = Stance.SUPPORTING if n_support > n_oppose else Stance.OPPOSING
+            p = Prediction(p.user_id, p.tweet_id, majority)
+        adjusted.append(p)
+    reference_write_predictions(out_path, [
+        (tweet_id, user_id, created_at, p.stance, margin)
+        for (tweet_id, user_id, created_at, _, margin), p in zip(rows, adjusted)])

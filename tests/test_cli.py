@@ -325,6 +325,20 @@ def test_predict_refuses_ids_that_would_corrupt_the_tsv(pipeline, tmp_path, caps
     assert not (tmp_path / "p.tsv").exists()
 
 
+def test_train_refuses_a_token_that_would_break_the_feature_file(tmp_path, capsys):
+    labeled = tmp_path / "labeled.jsonl"
+    labeled.write_text("".join(
+        json.dumps({"tweet_id": f"t{i}", "user_id": f"u{i}", "created_at": "2013-05-17T12:00:00",
+                    "tokens": [term, "中医"], "label": stance}) + "\n"
+        for i, (term, stance) in enumerate([("有效\t1", "support"), ("骗局", "oppose")])),
+        encoding="utf-8")
+    features = tmp_path / "features.tsv"
+    assert main(["train", "--labeled", str(labeled), "--model-out", str(tmp_path / "model.txt"),
+                 "--features-out", str(features)]) == 1
+    assert f"{labeled}:1: token contains" in capsys.readouterr().err
+    assert not features.exists()
+
+
 def test_runtime_errors_exit_1(tmp_path, capsys):
     rc = main(["prep", "--tweets", str(tmp_path / "absent.jsonl"),
                "--out", str(tmp_path / "docs.jsonl")])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+import re
 import tempfile
 from dataclasses import replace
 from datetime import datetime
@@ -393,6 +395,20 @@ def test_read_documents_rejects_malformed_records(tmp_path, line):
     path = tmp_path / "docs.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r":1"):
+        read_documents(path)
+
+
+@pytest.mark.parametrize("char", ["\t", "\r", "\n", "\ud800"],
+                         ids=["tab", "cr", "lf", "lone-surrogate"])
+def test_read_documents_refuses_a_token_that_would_break_a_tsv_line(tmp_path, char):
+    # features.tsv and the predictions TSV hold tokens and ids one per field
+    path = tmp_path / "docs.jsonl"
+    good = {"tweet_id": "t1", "user_id": "u1", "created_at": "2013-05-17T12:00:00",
+            "tokens": ["有效"]}
+    bad = {**good, "tweet_id": "t2", "tokens": ["有效", f"有效{char}1"]}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: token contains a tab, a line break or a lone surrogate")):
         read_documents(path)
 
 
