@@ -28,7 +28,6 @@ from .corpus import (
     parse_timestamp,
     split_retweets,
 )
-from .evaluation import cross_validate
 from .features import (
     collect_stats,
     load_feature_set,
@@ -167,17 +166,9 @@ def cmd_prep(args: argparse.Namespace) -> int:
     resources = cfg.load_resources()
     records, skipped = load_tweets(args.tweets)
     tweets = split_retweets(records)
-    kept = 0
-
-    def kept_docs():  # streamed to the writer, so no list of documents is held
-        nonlocal kept
-        for tweet in tweets:
-            doc = preprocess_tweet(tweet, resources)
-            if doc is not None:
-                kept += 1
-                yield doc
-
-    write_documents(args.out, kept_docs())
+    # streamed to the writer, so no list of documents is held
+    kept = write_documents(
+        args.out, filter(None, (preprocess_tweet(tweet, resources) for tweet in tweets)))
     _info(
         f"prep: {len(records)} records ({skipped} malformed or duplicate lines skipped), "
         f"{len(tweets)} tweets after repost split, {kept} documents kept, "
@@ -234,14 +225,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     dataset = _read_labeled_dataset(args.labeled)
     train_cfg = cfg.train_config()
-    result = cross_validate(
-        dataset,
-        cfg.K,
-        train_cfg,
-        cfg.k_folds,
-        seed=cfg.seed,
-        leaky_selection=cfg.leaky_selection,
-    )
+    result = evaluation.cross_validate(dataset, cfg.K, train_cfg, cfg.k_folds,
+                                       leaky_selection=cfg.leaky_selection)
     _write_report(args, evaluation.metrics_csv_rows([("-", result.report)]))
     _info(
         f"cv: {cfg.k_folds} folds over {len(dataset.documents)} documents, "
@@ -300,16 +285,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = parse_sweep_values(args.values, axis)
     dataset = _read_labeled_dataset(args.labeled)
     train_cfg = cfg.train_config()
-    rows = evaluation.sweep(
-        dataset,
-        axis,
-        values,
-        feature_count=cfg.K,
-        cfg=train_cfg,
-        k=cfg.k_folds,
-        seed=cfg.seed,
-        leaky_selection=cfg.leaky_selection,
-    )
+    rows = evaluation.sweep(dataset, axis, values, feature_count=cfg.K, cfg=train_cfg,
+                            k=cfg.k_folds, leaky_selection=cfg.leaky_selection)
     _write_report(args, evaluation.metrics_csv_rows(rows),
                   lambda: reports.sweep_chart(rows, args.axis))
     _info(f"sweep: axis {args.axis}, {len(rows)} settings -> {args.out}")

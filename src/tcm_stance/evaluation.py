@@ -26,10 +26,8 @@ from .features import (
     DEFAULT_FEATURE_COUNT,
     SelectedTerm,
     SparseVector,
-    collect_stats,
     fold_rankings,
     presence_columns,
-    select_features,
 )
 from .preprocess import Document
 from .stance import Stance
@@ -141,12 +139,13 @@ def _fold_plan(
     the top-K selection, since rankings order by (-score, term).
 
     The labeled set is counted once, and each training fold's counts are
-    derived from it by subtracting its test fold's (``fold_rankings``)."""
+    derived from it by subtracting its test fold's (``fold_rankings``).  The
+    leaky plan ranks the whole set, an empty test fold, once for every fold."""
     splits = stratified_kfold(dataset, k, seed)
     if leaky_selection:
-        shared = select_features(collect_stats(dataset), max_k).terms
-        return [(train_idx, test_idx, shared) for train_idx, test_idx in splits]
-    rankings = fold_rankings(dataset.documents, [test_idx for _, test_idx in splits], max_k)
+        rankings = fold_rankings(dataset.documents, [()], max_k) * len(splits)
+    else:
+        rankings = fold_rankings(dataset.documents, [test_idx for _, test_idx in splits], max_k)
     return [(train_idx, test_idx, ranking)
             for (train_idx, test_idx), ranking in zip(splits, rankings)]
 
@@ -205,10 +204,17 @@ def _pooled_docs(dataset: LabeledDataset, plan: list[_Fold]) -> list[Document]:
     return [docs[i] for _, test_idx, _ in plan for i in test_idx]
 
 
-def _cv_result(
-    dataset: LabeledDataset, plan: list[_Fold], feature_count: int, cfg: TrainConfig
+def cross_validate(
+    dataset: LabeledDataset,
+    feature_count: int,
+    cfg: TrainConfig,
+    k: int = 5,
+    *,
+    leaky_selection: bool = False,
 ) -> CVResult:
-    """Pooled out-of-fold predictions at one (K, training config)."""
+    """Pooled out-of-fold predictions at one (K, training config), over
+    stratified folds dealt with ``cfg.seed``."""
+    plan = _fold_plan(dataset, feature_count, k, cfg.seed, leaky_selection)
     ((stances, fits),) = _run_plan(dataset, plan, [(feature_count, cfg)])
     test_docs = _pooled_docs(dataset, plan)
     return CVResult(
@@ -217,20 +223,6 @@ def _cv_result(
         {d.tweet_id: d.label for d in test_docs},
         fits,
     )
-
-
-def cross_validate(
-    dataset: LabeledDataset,
-    feature_count: int,
-    cfg: TrainConfig,
-    k: int = 5,
-    *,
-    seed: int | None = None,
-    leaky_selection: bool = False,
-) -> CVResult:
-    plan = _fold_plan(dataset, feature_count, k, cfg.seed if seed is None else seed,
-                      leaky_selection)
-    return _cv_result(dataset, plan, feature_count, cfg)
 
 
 def gamma_of(count_support: int, count_oppose: int) -> float:
@@ -296,14 +288,13 @@ def sweep(
     feature_count: int = DEFAULT_FEATURE_COUNT,
     cfg: TrainConfig | None = None,
     k: int = 5,
-    seed: int | None = None,
     leaky_selection: bool = False,
 ) -> list[SweepRow]:
     """One metrics row per value, rows ordered by value ascending.
 
     All rows share one fold plan.  feature_count and wi rows run it at that
     setting and score the raw classifier (no per-user adjustment); gamma_min
-    rows re-adjust one run's pooled predictions at each threshold.
+    rows re-adjust one ``cross_validate`` run's pooled predictions.
     """
     cfg = cfg or TrainConfig()
     if axis not in SWEEP_AXES:
@@ -318,10 +309,8 @@ def sweep(
             raise ValueError("wi values must be in (0, 1]")
         if axis == "feature_count" and not (v >= 1 and float(v).is_integer()):
             raise ValueError("feature_count values must be positive integers")
-    max_k = int(vals[-1]) if axis == "feature_count" else feature_count
-    plan = _fold_plan(dataset, max_k, k, cfg.seed if seed is None else seed, leaky_selection)
     if axis == "gamma_min":
-        result = _cv_result(dataset, plan, feature_count, cfg)
+        result = cross_validate(dataset, feature_count, cfg, k, leaky_selection=leaky_selection)
         return [SweepRow(v, compute_metrics([(result.golds[p.tweet_id], p.stance)
                                              for p in adjust(result.predictions, v)]),
                          result.fits)
@@ -331,6 +320,8 @@ def sweep(
         settings = [(int(v), cfg) for v in vals]
     else:
         settings = [(feature_count, replace(cfg, wi=v)) for v in vals]
+    plan = _fold_plan(dataset, max(count for count, _ in settings), k, cfg.seed,
+                      leaky_selection)
     golds = [d.label for d in _pooled_docs(dataset, plan)]
     return [SweepRow(v, compute_metrics(list(zip(golds, stances))), fits)
             for v, (stances, fits) in zip(vals, _run_plan(dataset, plan, settings))]

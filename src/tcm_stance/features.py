@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .corpus import unsafe_id
 from .preprocess import Document
 from .resources import read_lines
 from .stance import Stance
@@ -113,13 +114,24 @@ class SelectedTerm:
     direction: Stance  # class the term's presence is positively associated with
 
 
+def _check_term(term: str) -> None:
+    """Refuse a term that a features.tsv line cannot hold: an empty one, or
+    one with a tab, CR, LF or lone surrogate (the ``unsafe_id`` rule)."""
+    if not term or unsafe_id(term):
+        raise ValueError(f"term {term!r} is empty or contains a tab, a line break "
+                         "or a lone surrogate")
+
+
 @dataclass(frozen=True)
 class FeatureSet:
-    """Selected terms in rank order plus a term → column index lookup."""
+    """Selected terms in rank order, each one ``_check_term`` passes, plus a
+    term → column index lookup."""
 
     terms: tuple[SelectedTerm, ...]
 
     def __post_init__(self) -> None:
+        for t in self.terms:
+            _check_term(t.term)
         object.__setattr__(self, "index", {t.term: i for i, t in enumerate(self.terms)})
         if len(self.index) != len(self.terms):  # type: ignore[attr-defined]
             raise ValueError("duplicate terms in feature set")
@@ -244,6 +256,7 @@ def load_feature_set(path: str | Path) -> FeatureSet:
             rank = int(rank_s)
             score = float(score_s)
             direction = Stance.from_wire(direction_s)
+            _check_term(term)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if rank != len(terms) + 1:

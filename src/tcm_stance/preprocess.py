@@ -174,19 +174,21 @@ def document_from_obj(obj: object, strings: SharedStrings) -> Document:
     )
 
 
-def write_documents(path: str | Path, docs: Iterable[Document]) -> None:
-    """Write one compact JSON line per document: the bytes ``write_jsonl``
-    gives the document's object, fields in the order tweet_id, user_id,
-    created_at, tokens and label (when set).  User ids and tokens repeat
-    across documents, so each is encoded once per call."""
+def write_documents(path: str | Path, docs: Iterable[Document]) -> int:
+    """Write one compact JSON line per document; returns their count.  A
+    line is the bytes ``write_jsonl`` gives the document's object, fields in
+    the order tweet_id, user_id, created_at, tokens and label (when set).
+    User ids and tokens repeat, so each is encoded once per call."""
     literal = _Literals().__getitem__
+    count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write = fh.write
-        for doc in docs:
+        for count, doc in enumerate(docs, 1):
             write(f'{{"tweet_id":{encode_basestring(doc.tweet_id)},'
                   f'"user_id":{literal(doc.user_id)},'
                   f'"created_at":"{format_timestamp(doc.created_at)}",'
                   f'"tokens":[{",".join(map(literal, doc.tokens))}]{_LINE_ENDS[doc.label]}')
+    return count
 
 
 def iter_documents(path: str | Path) -> Iterator[Document]:

@@ -105,9 +105,9 @@ def _tick_label(value: float) -> str:
 def svg_line_chart(
     series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
     *,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
+    title: str,
+    x_label: str,
+    y_label: str,
     x_tick_labels: Sequence[str] | None = None,
 ) -> str:
     """Render named (x, y) series as one SVG document string.
@@ -141,11 +141,10 @@ def svg_line_chart(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
-    if title:
-        out.append(
-            f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
-        )
+    out.append(
+        f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
+    )
     axis_y = _MARGIN_TOP + plot_h
     out.append(
         f'<line x1="{_MARGIN_LEFT}" y1="{axis_y}" x2="{_MARGIN_LEFT + plot_w}" y2="{axis_y}" '
@@ -203,17 +202,15 @@ def svg_line_chart(
             f'font-size="12">{_escape(name)}</text>'
         )
 
-    if x_label:
-        out.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'
-        )
-    if y_label:
-        out.append(
-            f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.0f})">{_escape(y_label)}</text>'
-        )
+    out.append(
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'
+    )
+    out.append(
+        f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.0f})">{_escape(y_label)}</text>'
+    )
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

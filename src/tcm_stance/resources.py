@@ -71,11 +71,6 @@ class TermList:
         return len(self.terms)
 
     @property
-    def max_term_len(self) -> int:
-        longest = (sizes[0] for sizes in self._lengths.values())  # type: ignore[attr-defined]
-        return max(longest, default=1 if self.terms else 0)
-
-    @property
     def lengths_by_first_char(self) -> Mapping[str, tuple[int, ...]]:
         """The distinct lengths above 1 of the terms starting with each
         character, longest first; characters with no such term are absent."""

@@ -220,7 +220,7 @@ def reference_segment(text: str, lexicon: TermList) -> list[str]:
     lexicon entry (capped at MAX_MATCH) down to 2 at every position."""
     tokens: list[str] = []
     i, n = 0, len(text)
-    limit_cap = min(MAX_MATCH, lexicon.max_term_len)
+    limit_cap = min(MAX_MATCH, max(map(len, lexicon), default=0))
     while i < n:
         match = None
         # length-1 lookups are skipped: a single-char lexicon hit and the

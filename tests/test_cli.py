@@ -387,24 +387,36 @@ def test_report_commands_echo_the_csv_and_write_a_chart_only_when_asked(
 
 def test_experiment_output_does_not_depend_on_the_hash_seed(tmp_path):
     """Two processes with different string hashing (so different set and
-    hash orders) write identical artifacts."""
+    hash orders) write identical artifacts: the experiment's, and those of
+    the leaky cross-validation and gamma sweep on its labeled set, which no
+    script runs."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
-    runs = []
-    for hash_seed in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": hash_seed}
-        outdir = tmp_path / f"hashseed_{hash_seed}"
-        runs.append((outdir, subprocess.Popen(
-            [sys.executable, str(script), "--outdir", str(outdir)], env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)))
-    trees = []
-    for outdir, proc in runs:
-        _, err = proc.communicate(timeout=300)
-        assert proc.returncode == 0, err.decode("utf-8", "replace")
-        trees.append({f.relative_to(outdir).as_posix(): f.read_bytes()
-                      for f in outdir.rglob("*") if f.is_file()})
+    envs = {hash_seed: {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                        "PYTHONHASHSEED": hash_seed}
+            for hash_seed in ("1", "2")}
+
+    def run_all(commands):
+        procs = [subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE) for argv, env in commands]
+        for proc in procs:
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err.decode("utf-8", "replace")
+
+    outdirs = {hash_seed: tmp_path / f"hashseed_{hash_seed}" for hash_seed in envs}
+    run_all([([sys.executable, str(script), "--outdir", str(outdirs[h])], envs[h])
+             for h in envs])
+    cli = [sys.executable, "-m", "tcm_stance"]
+    run_all([(cli + step + ["--labeled", str(outdirs[h] / "labeled.jsonl"), "--leaky-selection",
+                            "--out", str(outdirs[h] / csv_name)], envs[h])
+             for h in envs
+             for step, csv_name in ((["cv"], "leaky_cv.csv"),
+                                    (["sweep", "--axis", "gamma", "--values", "0.5..1.0:0.1"],
+                                     "leaky_gamma.csv"))])
+    trees = [{f.relative_to(outdir).as_posix(): f.read_bytes()
+              for f in outdir.rglob("*") if f.is_file()} for outdir in outdirs.values()]
     first, second = trees
     assert sorted(first) == sorted(second)
-    assert len(first) == 14
+    assert len(first) == 16
     assert [name for name in sorted(first) if first[name] != second[name]] == []
 
 

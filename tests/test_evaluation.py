@@ -254,14 +254,14 @@ def test_cross_validate_is_deterministic():
 
 def test_cv_and_sweep_keep_every_fit_in_fold_order():
     dataset = separable_dataset()
-    result = cross_validate(dataset, 20, CV_CFG, k=4, seed=11)
-    assert result.fits == reference_cross_validate(dataset, 20, CV_CFG, 4, 11).fits
+    cfg = replace(CV_CFG, seed=11)
+    result = cross_validate(dataset, 20, cfg, k=4)
+    assert result.fits == reference_cross_validate(dataset, 20, cfg, 4, 11).fits
     assert len(result.fits) == 4
-    assert all(fit.final_violation < CV_CFG.tolerance for fit in result.fits)
-    wi_rows = sweep(dataset, "wi", [0.5, 1.0], feature_count=20, cfg=CV_CFG, k=4, seed=11)
+    assert all(fit.final_violation < cfg.tolerance for fit in result.fits)
+    wi_rows = sweep(dataset, "wi", [0.5, 1.0], feature_count=20, cfg=cfg, k=4)
     assert [[fit.wi for fit in row.fits] for row in wi_rows] == [[0.5] * 4, [1.0] * 4]
-    gamma_rows = sweep(dataset, "gamma_min", [0.5, 1.0], feature_count=20, cfg=CV_CFG, k=4,
-                       seed=11)
+    gamma_rows = sweep(dataset, "gamma_min", [0.5, 1.0], feature_count=20, cfg=cfg, k=4)
     assert [row.fits for row in gamma_rows] == [result.fits] * 2
 
 
@@ -309,26 +309,44 @@ def noisy_dataset(n_docs: int = 48, vocab: int = 30, seed: int = 3):
 @pytest.mark.parametrize("leaky", [False, True])
 def test_one_fold_plan_matches_a_fresh_cross_validation_per_setting(leaky):
     dataset = noisy_dataset()
-    common = dict(cfg=CV_CFG, k=4, seed=11, leaky_selection=leaky)
+    cfg = replace(CV_CFG, seed=11)
+    common = dict(cfg=cfg, k=4, leaky_selection=leaky)
     k_values = [2, 5, 12, 1000]   # 1000 is above the vocabulary
     k_rows = sweep(dataset, "feature_count", k_values, **common)
-    k_refs = [reference_cross_validate(dataset, v, CV_CFG, 4, 11, leaky) for v in k_values]
+    k_refs = [reference_cross_validate(dataset, v, cfg, 4, 11, leaky) for v in k_values]
     assert k_rows == [(float(v), ref.report) for v, ref in zip(k_values, k_refs)]
     # fits compare whole TrainMeta records: epochs and final_violation too
     assert [row.fits for row in k_rows] == [ref.fits for ref in k_refs]
     assert len({report.micro_f1 for _, report in k_rows}) > 1
     wi_values = [0.2, 0.6, 1.0]
     wi_rows = sweep(dataset, "wi", wi_values, feature_count=8, **common)
-    wi_refs = [reference_cross_validate(dataset, 8, replace(CV_CFG, wi=v), 4, 11, leaky)
+    wi_refs = [reference_cross_validate(dataset, 8, replace(cfg, wi=v), 4, 11, leaky)
                for v in wi_values]
     assert wi_rows == [(v, ref.report) for v, ref in zip(wi_values, wi_refs)]
     assert [row.fits for row in wi_rows] == [ref.fits for ref in wi_refs]
-    result = cross_validate(dataset, 8, CV_CFG, k=4, seed=11, leaky_selection=leaky)
-    reference = reference_cross_validate(dataset, 8, CV_CFG, 4, 11, leaky)
+    result = cross_validate(dataset, 8, cfg, k=4, leaky_selection=leaky)
+    reference = reference_cross_validate(dataset, 8, cfg, 4, 11, leaky)
     assert result.report == reference.report
     assert result.predictions == reference.predictions
     assert result.golds == reference.golds
     assert result.fits == reference.fits
+
+
+@pytest.mark.parametrize("leaky", [False, True])
+def test_gamma_rows_rescore_the_oracle_cross_validation(leaky):
+    dataset = noisy_dataset()
+    cfg = replace(CV_CFG, seed=11)
+    gamma_values = [0.5, 0.6, 0.75, 0.9, 1.0]
+    rows = sweep(dataset, "gamma_min", gamma_values, feature_count=8, cfg=cfg, k=4,
+                 leaky_selection=leaky)
+    reference = reference_cross_validate(dataset, 8, cfg, 4, 11, leaky)
+    expected = [(v, compute_metrics([(reference.golds[p.tweet_id], p.stance)
+                                     for p in adjust(reference.predictions, v)]))
+                for v in gamma_values]
+    assert rows == expected
+    assert [row.fits for row in rows] == [reference.fits] * len(gamma_values)
+    # the thresholds must matter, or the rows would not tell them apart
+    assert len({report.micro_f1 for _, report in expected}) > 1
 
 
 @st.composite

@@ -260,6 +260,24 @@ def test_load_feature_set_names_the_line_of_a_repeated_term(tmp_path):
         load_feature_set(path)
 
 
+@pytest.mark.parametrize("term", ["a\tb", "a\nb", "a\rb", "", "a\ud800b"],
+                         ids=["tab", "lf", "cr", "empty", "lone-surrogate"])
+def test_feature_set_refuses_a_term_its_tsv_cannot_hold(tmp_path, term):
+    with pytest.raises(ValueError, match=re.escape(
+            f"term {term!r} is empty or contains a tab, a line break or a lone surrogate") + "$"):
+        save_feature_set(tmp_path / "features.tsv",
+                         FeatureSet((SelectedTerm(term, 1.0, Stance.SUPPORTING),)))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("term", ["", "a\rb"], ids=["empty", "cr"])
+def test_load_feature_set_names_the_line_of_an_unsavable_term(tmp_path, term):
+    path = tmp_path / "features.tsv"
+    path.write_bytes(f"1\t疗效\t2.0\tsupport\n2\t{term}\t1.5\toppose\n".encode("utf-8"))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: term {term!r} is empty")):
+        load_feature_set(path)
+
+
 def test_random_corpora_match_oracle_end_to_end():
     rng = random.Random(411)
     vocab = [f"w{i}" for i in range(12)]

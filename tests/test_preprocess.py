@@ -332,9 +332,17 @@ _DOCUMENTS = st.builds(
 def test_write_documents_matches_the_reference_encoder(docs):
     with tempfile.TemporaryDirectory() as tmp:
         written, reference = Path(tmp) / "written.jsonl", Path(tmp) / "reference.jsonl"
-        write_documents(written, docs)
+        assert write_documents(written, iter(docs)) == len(docs)
         reference_write_documents(reference, docs)
         assert written.read_bytes() == reference.read_bytes()
+
+
+def test_write_documents_returns_how_many_it_wrote(tmp_path):
+    docs = (make_doc(f"t{i}", "u1", ("中医",)) for i in range(3))
+    assert write_documents(tmp_path / "docs.jsonl", docs) == 3
+    assert len(read_documents(tmp_path / "docs.jsonl")) == 3
+    assert write_documents(tmp_path / "empty.jsonl", iter(())) == 0
+    assert (tmp_path / "empty.jsonl").read_bytes() == b""
 
 
 @pytest.mark.parametrize("field", ["tweet_id", "user_id", "tokens"])

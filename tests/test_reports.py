@@ -164,8 +164,10 @@ def test_svg_chart_is_valid_xml_and_deterministic():
 
 
 def test_svg_chart_escapes_labels():
-    svg = svg_line_chart(SERIES, title="a<b> & c")
+    svg = svg_line_chart(SERIES, title="a<b> & c", x_label="x<y", y_label="p & q")
     assert "a&lt;b&gt; &amp; c" in svg
+    assert ">x&lt;y</text>" in svg
+    assert ">p &amp; q</text>" in svg
     ET.fromstring(svg)
 
 

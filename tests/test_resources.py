@@ -27,17 +27,13 @@ def test_term_list_of_normalizes():
     assert "中医" in tl
     assert "养生" not in tl
     assert len(tl) == 2
-    assert tl.max_term_len == 2
 
 
 def test_term_list_lengths_per_first_character():
     tl = TermList.of(["中医药", "中医", "中药", "中", "爱好", "a", "马兜铃酸"])
     assert tl.lengths_by_first_char == {"中": (3, 2), "爱": (2,), "马": (4,)}
-    assert tl.max_term_len == 4
     assert TermList.of(["a", "中"]).lengths_by_first_char == {}
-    assert TermList.of(["a", "中"]).max_term_len == 1
     assert TermList.of([]).lengths_by_first_char == {}
-    assert TermList.of([]).max_term_len == 0
 
 
 def test_term_list_rejects_raw_duplicates_and_blanks():
@@ -200,7 +196,7 @@ def test_filter_lists_are_reachable_by_the_segmenter(default_resources):
 def test_bundled_terms_fit_the_segmenter_window(default_resources):
     # longest-prefix matching scans at most 8 characters, so longer entries
     # would be dead weight
-    assert default_resources.segment_lexicon.max_term_len <= 8
+    assert max(map(len, default_resources.segment_lexicon)) <= 8
 
 
 def test_bundled_char_map_is_simplifying(default_resources):
