@@ -2,7 +2,7 @@
 
 Stages communicate through files (JSONL corpora, TSV predictions, CSV
 reports); standard output stays quiet unless --print is given, diagnostics
-go to standard error.  Exit codes: 0 success, 1 failure, 2 usage error.
+go to standard error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import evaluation, reports, svm, synth
 from .config import KEY_PARSERS, PipelineConfig, build_config, parse_bool, parse_config_file
 from .corpus import (
+    check_id,
     dedupe_users,
     format_timestamp,
     load_tweets,
@@ -37,7 +38,7 @@ from .features import (
     vectorize,
 )
 from .preprocess import iter_documents, preprocess_tweet, read_documents, write_documents
-from .resources import read_lines
+from .resources import located
 from .stance import Stance
 from .supervision import LabeledDataset, filter_topic, label_corpus
 from .synth import SynthConfig
@@ -94,18 +95,15 @@ def write_predictions_tsv(path: Path, rows: Iterable[PredictionRow]) -> None:
 
 
 def iter_predictions_tsv(path: Path) -> Iterator[PredictionRow]:
-    """Stream the rows of a predictions TSV; a bad line stops the stream
-    with ``path:line``."""
-    for lineno, line in read_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
-        try:
-            row = (parts[0], parts[1], parse_timestamp(parts[2]), Stance.from_wire(parts[3]),
-                   float(parts[4]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        yield row
+    """Stream the rows of a predictions TSV; a bad line (the ids follow the
+    documents file's rule) stops the stream with ``path:line``."""
+    with located(path) as lines:
+        for line in lines:
+            parts = line.split("\t")
+            if len(parts) != 5:
+                raise ValueError("expected 5 tab-separated fields")
+            yield (check_id("tweet_id", parts[0]), check_id("user_id", parts[1]),
+                   parse_timestamp(parts[2]), Stance.from_wire(parts[3]), float(parts[4]))
 
 
 def read_predictions_tsv(path: Path) -> list[PredictionRow]:
@@ -129,20 +127,22 @@ def _write_report(args: argparse.Namespace, rows: list[list[str]],
 def _read_labeled_dataset(path: Path) -> LabeledDataset:
     docs = read_documents(path)
     users: dict[str, Stance] = {}
+    tweet_ids: set[str] = set()
     for doc in docs:
         if doc.label is None:
             raise ValueError(f"{path}: document {doc.tweet_id} has no label")
-        previous = users.get(doc.user_id)
-        if previous is not None and previous is not doc.label:
+        if doc.tweet_id in tweet_ids:
+            raise ValueError(f"{path}: duplicate tweet_id {doc.tweet_id!r}")
+        tweet_ids.add(doc.tweet_id)
+        if users.setdefault(doc.user_id, doc.label) is not doc.label:
             raise ValueError(f"{path}: user {doc.user_id} carries conflicting labels")
-        users[doc.user_id] = doc.label
     return LabeledDataset(tuple(docs), users)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> None:
     cfg = SynthConfig(
         n_users_pos=args.users_pos,
         n_users_neg=args.users_neg,
@@ -158,10 +158,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         f"synth: {len(corpus.tweets)} tweets by {len(corpus.users)} users -> "
         + ", ".join(str(p) for p in paths.values())
     )
-    return 0
 
 
-def cmd_prep(args: argparse.Namespace) -> int:
+def cmd_prep(args: argparse.Namespace) -> None:
     cfg = _resolve_config(args)
     resources = cfg.load_resources()
     records, skipped = load_tweets(args.tweets)
@@ -174,10 +173,9 @@ def cmd_prep(args: argparse.Namespace) -> int:
         f"{len(tweets)} tweets after repost split, {kept} documents kept, "
         f"{len(tweets) - kept} dropped (ads or empty)"
     )
-    return 0
 
 
-def cmd_label(args: argparse.Namespace) -> int:
+def cmd_label(args: argparse.Namespace) -> None:
     cfg = _resolve_config(args)
     resources = cfg.load_resources()
     docs = read_documents(args.docs)
@@ -195,10 +193,9 @@ def cmd_label(args: argparse.Namespace) -> int:
         f"({counts[Stance.SUPPORTING]} support / {counts[Stance.OPPOSING]} oppose), "
         f"{len(remainder)} unlabeled remainder; {skipped} malformed user lines skipped"
     )
-    return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> None:
     cfg = _resolve_config(args)
     dataset = _read_labeled_dataset(args.labeled)
     feature_set = select_features(collect_stats(dataset), cfg.K)
@@ -218,10 +215,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"-> {args.model_out}, {args.features_out}"
     )
     _warn_unconverged([meta], train_cfg)
-    return 0
 
 
-def cmd_cv(args: argparse.Namespace) -> int:
+def cmd_cv(args: argparse.Namespace) -> None:
     cfg = _resolve_config(args)
     dataset = _read_labeled_dataset(args.labeled)
     train_cfg = cfg.train_config()
@@ -234,7 +230,6 @@ def cmd_cv(args: argparse.Namespace) -> int:
         f"-> {args.out}"
     )
     _warn_unconverged(result.fits, train_cfg)
-    return 0
 
 
 _AXIS_BY_FLAG = {"k": "feature_count", "wi": "wi", "gamma": "gamma_min"}
@@ -279,7 +274,7 @@ def parse_sweep_values(spec: str, axis: str) -> list[float]:
     return values
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     cfg = _resolve_config(args)
     axis = _AXIS_BY_FLAG[args.axis]
     values = parse_sweep_values(args.values, axis)
@@ -293,10 +288,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # gamma_min rows all share one run's fits
     runs = rows[:1] if axis == "gamma_min" else rows
     _warn_unconverged([m for row in runs for m in row.fits], train_cfg)
-    return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def cmd_predict(args: argparse.Namespace) -> None:
     model = svm.load_model(args.model)
     feature_set = load_feature_set(args.features)
     svm.check_columns(model, feature_set.digest(), len(feature_set))
@@ -316,10 +310,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         f"predict: {n_docs} documents, {n_support} support / "
         f"{n_docs - n_support} oppose -> {args.out}"
     )
-    return 0
 
 
-def cmd_adjust(args: argparse.Namespace) -> int:
+def cmd_adjust(args: argparse.Namespace) -> None:
     cfg = _resolve_config(args)
     rows = read_predictions_tsv(args.predictions)
     majority = evaluation.majorities(((row[1], row[3]) for row in rows), cfg.gamma_min)
@@ -331,20 +324,18 @@ def cmd_adjust(args: argparse.Namespace) -> int:
         f"adjust: gamma_min {cfg.gamma_min:g}, {changed} of {len(rows)} predictions "
         f"flipped to the author majority -> {args.out}"
     )
-    return 0
 
 
-def cmd_report_timeseries(args: argparse.Namespace) -> int:
+def cmd_report_timeseries(args: argparse.Namespace) -> None:
     rows = iter_predictions_tsv(args.predictions)
     buckets = reports.timeseries(((created_at, stance) for _, _, created_at, stance, _ in rows),
                                  args.granularity)
     _write_report(args, reports.timeseries_csv_rows(buckets),
                   lambda: reports.timeseries_chart(buckets, args.granularity))
     _info(f"report-timeseries: {len(buckets)} {args.granularity} buckets -> {args.out}")
-    return 0
 
 
-def cmd_report_keywords(args: argparse.Namespace) -> int:
+def cmd_report_keywords(args: argparse.Namespace) -> None:
     feature_set = load_feature_set(args.features)
     support, oppose = reports.keyword_report(feature_set, args.top_n)
     _write_report(args, reports.keywords_csv_rows(support, oppose))
@@ -352,7 +343,6 @@ def cmd_report_keywords(args: argparse.Namespace) -> int:
         f"report-keywords: top {args.top_n} per class "
         f"({len(support)} support, {len(oppose)} oppose) -> {args.out}"
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Exit codes: 0 success, 1 failure (one ``error:``
+    line on stderr), 2 usage error (from argparse)."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except Exception as exc:  # one-line diagnostic, non-zero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

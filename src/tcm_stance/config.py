@@ -66,42 +66,32 @@ KEY_PARSERS: dict[str, Callable[[str], object]] = {
 }
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
+def parse_config_file(path: str | Path) -> dict[str, object]:
     """Read a flat ``key = value`` file; # starts a comment line.  Each key
-    may appear once."""
-    values: dict[str, str] = {}
+    may appear once, and its value is parsed on its line."""
+    values: dict[str, object] = {}
     first_line: dict[str, int] = {}
-    for lineno, line in resources._data_rows(path):
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in KEY_PARSERS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in first_line:
-            raise ValueError(
-                f"{path}:{lineno}: config key {key!r} already set on line {first_line[key]}")
-        first_line[key] = lineno
-        values[key] = value
+    with resources.located(path, resources._data_rows(path)) as lines:
+        for line in lines:
+            if "=" not in line:
+                raise ValueError("expected 'key = value'")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key not in KEY_PARSERS:
+                raise ValueError(f"unknown config key {key!r}")
+            if key in first_line:
+                raise ValueError(f"config key {key!r} already set on line {first_line[key]}")
+            first_line[key] = lines.lineno
+            try:
+                values[key] = KEY_PARSERS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
     return values
 
 
-def build_config(
-    file_values: Mapping[str, str] | None = None,
-    overrides: Mapping[str, object] | None = None,
-) -> PipelineConfig:
-    kwargs: dict[str, object] = {}
-    for key, raw in (file_values or {}).items():
-        if key not in KEY_PARSERS:
-            raise ValueError(f"unknown config key {key!r}")
-        try:
-            kwargs[key] = KEY_PARSERS[key](raw)
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from exc
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in KEY_PARSERS:
-            raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = value
+def build_config(file_values: Mapping[str, object] | None = None,
+                 overrides: Mapping[str, object] | None = None) -> PipelineConfig:
+    """A config file's parsed values, under the overrides that are not None."""
+    kwargs = dict(file_values or {})
+    kwargs.update((key, value) for key, value in (overrides or {}).items() if value is not None)
     return PipelineConfig(**kwargs)  # type: ignore[arg-type]

@@ -73,6 +73,15 @@ def unsafe_id(value: str) -> bool:
         or (not value.isascii() and _SURROGATE.search(value) is not None))
 
 
+def check_id(name: str, value: object) -> str:
+    """``value``, if it is a non-empty string that ``unsafe_id`` passes."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"missing or empty {name}")
+    if not value.isprintable() and unsafe_id(value):  # skips a call for the common id
+        raise ValueError(f"{name} contains a tab, a line break or a lone surrogate")
+    return value
+
+
 def _flatten(obj: object) -> tuple[Tweet, ...]:
     """Check one record node by node and flatten its repost chain, root first.
 
@@ -87,14 +96,10 @@ def _flatten(obj: object) -> tuple[Tweet, ...]:
         if not isinstance(node, dict):
             raise ValueError("tweet record must be a JSON object")
         tid = node.get("id")
-        uid = node.get("user_id")
         text = node.get("text")
         if not isinstance(tid, str) or not tid:
             raise ValueError("missing or empty id")
-        if not isinstance(uid, str) or not uid:
-            raise ValueError("missing or empty user_id")
-        if unsafe_id(uid):
-            raise ValueError("user_id contains a tab, a line break or a lone surrogate")
+        uid = check_id("user_id", node.get("user_id"))
         if not isinstance(text, str):
             raise ValueError("text must be a string")
         if tweets:

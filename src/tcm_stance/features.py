@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import unsafe_id
 from .preprocess import Document
-from .resources import read_lines
+from .resources import located
 from .stance import Stance
 from .supervision import LabeledDataset
 
@@ -245,24 +245,20 @@ def save_feature_set(path: str | Path, fs: FeatureSet) -> None:
 
 
 def load_feature_set(path: str | Path) -> FeatureSet:
-    terms = []
-    seen: set[str] = set()
-    for lineno, line in read_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-        rank_s, term, score_s, direction_s = parts
-        try:
+    terms: dict[str, SelectedTerm] = {}
+    with located(path) as lines:
+        for line in lines:
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise ValueError("expected 4 tab-separated fields")
+            rank_s, term, score_s, direction_s = parts
             rank = int(rank_s)
             score = float(score_s)
             direction = Stance.from_wire(direction_s)
             _check_term(term)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        if rank != len(terms) + 1:
-            raise ValueError(f"{path}:{lineno}: ranks must be consecutive from 1")
-        if term in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate term {term!r}")
-        seen.add(term)
-        terms.append(SelectedTerm(term, score, direction))
-    return FeatureSet(tuple(terms))
+            if rank != len(terms) + 1:
+                raise ValueError("ranks must be consecutive from 1")
+            if term in terms:
+                raise ValueError(f"duplicate term {term!r}")
+            terms[term] = SelectedTerm(term, score, direction)
+    return FeatureSet(tuple(terms.values()))

@@ -14,8 +14,8 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .corpus import Tweet, format_timestamp, parse_timestamp, unsafe_id
-from .resources import Resources, TermList, read_lines
+from .corpus import Tweet, check_id, format_timestamp, parse_timestamp
+from .resources import Resources, TermList, located
 from .stance import Stance
 
 MAX_MATCH = 8  # longest lexicon entry the segmenter will consider
@@ -134,14 +134,12 @@ class _Literals(dict):
 class SharedStrings(dict):
     """str -> the first equal str looked up, so that documents read together
     share one string per distinct token and user id.  A string is checked
-    with the id rule (``unsafe_id``) the first time it is looked up: a token
+    with the id rule (``check_id``) the first time it is looked up: a token
     that holds a tab, CR, LF or lone surrogate could not be written to a
     feature or predictions TSV."""
 
     def __missing__(self, text: str) -> str:
-        if unsafe_id(text):
-            raise ValueError("token contains a tab, a line break or a lone surrogate")
-        self[text] = text
+        self[text] = check_id("token", text)
         return text
 
 
@@ -150,17 +148,9 @@ def document_from_obj(obj: object, strings: SharedStrings) -> Document:
     each token become their shared string in ``strings``."""
     if not isinstance(obj, dict):
         raise ValueError("document record must be a JSON object")
-    tweet_id = obj.get("tweet_id")
-    user_id = obj.get("user_id")
+    tweet_id = check_id("tweet_id", obj.get("tweet_id"))
+    user_id = check_id("user_id", obj.get("user_id"))
     tokens = obj.get("tokens")
-    if not isinstance(tweet_id, str) or not tweet_id:
-        raise ValueError("missing or empty tweet_id")
-    if unsafe_id(tweet_id):
-        raise ValueError("tweet_id contains a tab, a line break or a lone surrogate")
-    if not isinstance(user_id, str) or not user_id:
-        raise ValueError("missing or empty user_id")
-    if unsafe_id(user_id):
-        raise ValueError("user_id contains a tab, a line break or a lone surrogate")
     if (not isinstance(tokens, list) or not all(map(isinstance, tokens, repeat(str)))
             or "" in tokens):
         raise ValueError("tokens must be a list of non-empty strings")
@@ -197,12 +187,9 @@ def iter_documents(path: str | Path) -> Iterator[Document]:
     # json.loads gives every occurrence its own str; one per distinct token
     # and user id holds a labeled set in about half the memory
     strings = SharedStrings()
-    for lineno, line in read_lines(path):
-        try:
-            doc = document_from_obj(json.loads(line), strings)
-        except (ValueError, TypeError, RecursionError) as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        yield doc
+    with located(path) as lines:
+        for line in lines:
+            yield document_from_obj(json.loads(line), strings)
 
 
 def read_documents(path: str | Path) -> list[Document]:

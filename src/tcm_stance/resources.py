@@ -9,6 +9,7 @@ larger files of the same format.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -110,41 +111,61 @@ def _data_rows(path: str | Path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+class located(AbstractContextManager):
+    """Lines of a strict file, or given (line number, line) ``rows`` of it,
+    for a ``with`` block that refuses a bad one: a ValueError or
+    RecursionError raised there becomes a ResourceFormatError that reads
+    "path:line: message", ``lineno`` being the line last handed out, or
+    "path: message" before the first.  A ResourceFormatError passes through."""
+
+    def __init__(self, path: str | Path, rows: Iterable[tuple[int, str]] | None = None) -> None:
+        self.path = path
+        self.rows = rows
+        self.lineno: int | None = None
+
+    def __iter__(self) -> Iterator[str]:
+        for self.lineno, line in read_lines(self.path) if self.rows is None else self.rows:
+            yield line
+
+    def __exit__(self, exc_type: type | None, exc: BaseException | None, tb: object) -> None:
+        if isinstance(exc, (ValueError, RecursionError)) and not isinstance(exc, ResourceFormatError):
+            where = self.path if self.lineno is None else f"{self.path}:{self.lineno}"
+            raise ResourceFormatError(f"{where}: {exc}") from exc
+
+
 def load_term_list(path: str | Path) -> TermList:
     return TermList.of(line for _, line in _data_rows(path))
 
 
 def load_tag_lexicon(path: str | Path) -> TagLexicon:
     lexicon: TagLexicon = {}
-    for lineno, line in _data_rows(path):
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise ResourceFormatError(f"{path}:{lineno}: expected 'tag<TAB>stance'")
-        tag, word = parts[0].strip(), parts[1].strip()
-        try:
-            stance = Stance.from_wire(word)
-        except ValueError as exc:
-            raise ResourceFormatError(f"{path}:{lineno}: {exc}") from exc
-        if tag in lexicon and lexicon[tag] is not stance:
-            raise ResourceFormatError(f"{path}:{lineno}: conflicting stance for tag {tag!r}")
-        lexicon[tag] = stance
+    with located(path, _data_rows(path)) as lines:
+        for line in lines:
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+                raise ValueError("expected 'tag<TAB>stance'")
+            tag, stance = parts[0].strip(), Stance.from_wire(parts[1].strip())
+            if tag in lexicon and lexicon[tag] is not stance:
+                raise ValueError(f"conflicting stance for tag {tag!r}")
+            lexicon[tag] = stance
     return lexicon
 
 
 def load_char_map(path: str | Path) -> CharMap:
     cmap: CharMap = {}
-    for lineno, line in _data_rows(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ResourceFormatError(f"{path}:{lineno}: expected 'char<TAB>char'")
-        trad, simp = parts[0].strip(), parts[1].strip()
-        if len(trad) != 1 or len(simp) != 1:
-            raise ResourceFormatError(f"{path}:{lineno}: cells must be single characters")
-        if trad == simp:
-            continue
-        if trad in cmap and cmap[trad] != simp:
-            raise ResourceFormatError(f"{path}:{lineno}: conflicting mapping for {trad!r}")
-        cmap[trad] = simp
+    with located(path, _data_rows(path)) as lines:
+        for line in lines:
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError("expected 'char<TAB>char'")
+            trad, simp = parts[0].strip(), parts[1].strip()
+            if len(trad) != 1 or len(simp) != 1:
+                raise ValueError("cells must be single characters")
+            if trad == simp:
+                continue
+            if trad in cmap and cmap[trad] != simp:
+                raise ValueError(f"conflicting mapping for {trad!r}")
+            cmap[trad] = simp
     return cmap
 
 

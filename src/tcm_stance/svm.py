@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .features import SparseVector
-from .resources import read_lines
+from .resources import located, read_lines
 from .stance import Stance
 
 _MODEL_HEADER = "stance-svm v2"
@@ -428,32 +428,26 @@ def load_model(path: str | Path) -> Model:
     so its model reports 0 epochs and a nan violation.  Every error names the
     file, and the line where there is one."""
     rows = list(read_lines(path))
-    header = rows[0][1] if rows else ""
-    if header not in _MODEL_KEYS:
-        where = f"{path}:{rows[0][0]}" if rows else str(path)
-        raise ValueError(f"{where}: not a model file (bad header {header!r})")
+    with located(path, rows[:1]) as lines:
+        header = next(iter(lines), "")
+        if header not in _MODEL_KEYS:
+            raise ValueError(f"not a model file (bad header {header!r})")
     keys = _MODEL_KEYS[header]
     if len(rows) < len(keys) + 2:
         raise ValueError(f"{path}: model file truncated")
-    head = {}
-    for key, (lineno, line) in zip(keys, rows[1:]):
-        try:
-            head[key] = _MODEL_VALUES[key](_header_value(line, key))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    with located(path, rows[1:len(keys) + 1]) as lines:
+        head = {key: _MODEL_VALUES[key](_header_value(line, key)) for key, line in zip(keys, lines)}
     k = head["K"]
     weight_rows = rows[len(keys) + 1:]
     if len(weight_rows) != k + 1:
         raise ValueError(f"{path}: expected {k + 1} weights, found {len(weight_rows)}")
     weights = []
-    for lineno, line in weight_rows:
-        try:
+    with located(path, weight_rows) as lines:
+        for line in lines:
             weight = float(line)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        if not math.isfinite(weight):
-            raise ValueError(f"{path}:{lineno}: non-finite weight {line!r}")
-        weights.append(weight)
+            if not math.isfinite(weight):
+                raise ValueError(f"non-finite weight {line!r}")
+            weights.append(weight)
     meta = TrainMeta(head["C"], head["wi"], head["seed"],
                      head.get("epochs", 0), head.get("violation", math.nan))
     return Model(tuple(weights), head["digest"], meta)

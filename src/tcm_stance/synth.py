@@ -19,7 +19,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .corpus import Tweet, UserProfile, write_tweets_jsonl, write_users_jsonl
-from .resources import SEARCH_TAGS_PATH, DEFAULT_PATHS, load_tag_lexicon, load_term_list, read_lines
+from .resources import SEARCH_TAGS_PATH, DEFAULT_PATHS, load_tag_lexicon, load_term_list, located
 from .stance import Stance
 
 # regimen-and-trust flavored vocabulary for supporting authors
@@ -171,12 +171,12 @@ def write_corpus(corpus: SynthCorpus, outdir: str | Path) -> dict[str, Path]:
 
 def read_gold(path: str | Path) -> dict[str, Stance]:
     gold: dict[str, Stance] = {}
-    for lineno, line in read_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'tweet_id<TAB>stance'")
-        try:
+    with located(path) as lines:
+        for line in lines:
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError("expected 'tweet_id<TAB>stance'")
+            if parts[0] in gold:
+                raise ValueError(f"duplicate tweet_id {parts[0]!r}")
             gold[parts[0]] = Stance.from_wire(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return gold

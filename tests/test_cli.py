@@ -361,6 +361,26 @@ def test_conflicting_user_labels_are_fatal(tmp_path, capsys):
     assert "u1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--model-out", "m.txt", "--features-out", "f.tsv"],
+    ["cv", "--out", "cv.csv"],
+    ["sweep", "--axis", "gamma", "--values", "0.5,1.0", "--out", "sweep.csv"],
+], ids=lambda argv: argv[0])
+def test_a_repeated_tweet_id_in_a_labeled_file_is_fatal(tmp_path, capsys, monkeypatch, command):
+    # CV results are keyed by tweet id: a repeat would overwrite one gold label
+    docs = [
+        make_doc("t1", "u1", ("经络", "穴位"), Stance.SUPPORTING),
+        make_doc("t2", "u2", ("经络", "拔罐"), Stance.OPPOSING),
+        make_doc("t1", "u3", ("经络", "拔罐"), Stance.OPPOSING),
+    ]
+    path = tmp_path / "labeled.jsonl"
+    write_documents(path, docs)
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--labeled", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: duplicate tweet_id 't1'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["labeled.jsonl"]
+
+
 @pytest.mark.parametrize("argv, has_chart", [
     (lambda p: ["cv", "--labeled", p["labeled"], "--K", "60", "--k-folds", "3"], False),
     (lambda p: ["sweep", "--axis", "gamma", "--values", "0.5,1.0", "--labeled", p["labeled"],
@@ -481,7 +501,7 @@ def test_config_file_and_flag_precedence(tmp_path):
         "# tuning\nwi = 0.5\nseed = 7\nleaky_selection = yes\n", encoding="utf-8"
     )
     values = parse_config_file(cfg_path)
-    assert values == {"wi": "0.5", "seed": "7", "leaky_selection": "yes"}
+    assert values == {"wi": 0.5, "seed": 7, "leaky_selection": True}
     cfg = build_config(values, {"wi": 0.7, "K": None})
     assert cfg.wi == 0.7
     assert cfg.seed == 7
@@ -516,23 +536,28 @@ def test_pipeline_config_validation():
 
 
 def test_a_config_value_that_does_not_parse_names_its_key(tmp_path, capsys):
-    with pytest.raises(ValueError, match=r"^config key 'K': invalid literal for int"):
-        build_config({"K": "abc"})
-    with pytest.raises(ValueError, match=r"^config key 'leaky_selection': not a boolean"):
-        build_config({"leaky_selection": "maybe"})
     cfg_path = tmp_path / "pipeline.cfg"
+    cfg_path.write_text("leaky_selection = maybe\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=rf"^{re.escape(str(cfg_path))}:1: config key 'leaky_selection': "
+                             "not a boolean"):
+        parse_config_file(cfg_path)
     cfg_path.write_text("K = abc\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=rf"^{re.escape(str(cfg_path))}:1: config key 'K': invalid literal "
+                             "for int"):
+        parse_config_file(cfg_path)
     rc = main(["train", "--labeled", str(tmp_path / "absent.jsonl"),
                "--model-out", str(tmp_path / "m.txt"), "--features-out", str(tmp_path / "f.tsv"),
                "--config", str(cfg_path)])
     assert rc == 1
-    assert "error: config key 'K':" in capsys.readouterr().err
+    assert f"error: {cfg_path}:1: config key 'K':" in capsys.readouterr().err
 
 
 def test_config_file_ignores_a_leading_byte_order_mark(tmp_path):
     cfg_path = tmp_path / "pipeline.cfg"
     cfg_path.write_text("\ufeffK = 10\nseed = 3\n", encoding="utf-8")
-    assert parse_config_file(cfg_path) == {"K": "10", "seed": "3"}
+    assert parse_config_file(cfg_path) == {"K": 10, "seed": 3}
 
 
 def test_config_file_with_invalid_utf8_names_the_file_and_offset(tmp_path, capsys):

@@ -176,6 +176,24 @@ def test_adjust_and_timeseries_match_the_reference_pipeline(rows, gamma_min):
             assert (d / "ts.svg").read_bytes() == svg_bytes
 
 
+@pytest.mark.parametrize("tweet_id, user_id, text", [
+    ("t9", "", "missing or empty user_id"),
+    ("", "u1", "missing or empty tweet_id"),
+    ("t9", "u\r1", "user_id contains a tab, a line break or a lone surrogate"),
+    ("t\r9", "u1", "tweet_id contains a tab, a line break or a lone surrogate"),
+], ids=["empty-user", "empty-tweet", "cr-user", "cr-tweet"])
+def test_adjust_refuses_an_id_that_breaks_the_documents_id_rule(tmp_path, capsys, tweet_id,
+                                                               user_id, text):
+    path = tmp_path / "preds.tsv"
+    _write_predictions(path, [("u1", Stance.SUPPORTING, datetime(2013, 1, 2), True, "0.5")] * 2)
+    with open(path, "a", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{tweet_id}\t{user_id}\t2013-01-02T00:00:00\toppose\t-0.5\n")
+    assert main(["adjust", "--predictions", str(path), "--out", str(tmp_path / "out"),
+                 "--gamma-min", "0.6"]) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: {text}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["adjust", "report-timeseries"])
 def test_a_bad_predictions_line_is_refused_with_no_output(tmp_path, capsys, command):
     path = tmp_path / "preds.tsv"

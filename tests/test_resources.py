@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from oracles import reference_union
 
+import tcm_stance
+from tcm_stance.cli import read_predictions_tsv
+from tcm_stance.config import parse_config_file
+from tcm_stance.features import load_feature_set
+from tcm_stance.preprocess import read_documents
 from tcm_stance.resources import (
     DEFAULT_PATHS,
     SEARCH_TAGS_PATH,
@@ -19,6 +26,8 @@ from tcm_stance.resources import (
     load_term_list,
 )
 from tcm_stance.stance import Stance
+from tcm_stance.svm import load_model
+from tcm_stance.synth import read_gold
 
 
 def test_term_list_of_normalizes():
@@ -143,6 +152,59 @@ def test_load_char_map_conflict_is_fatal(tmp_path):
     path.write_text("醫\t医\n醫\t药\n", encoding="utf-8")
     with pytest.raises(ResourceFormatError, match=r":2"):
         load_char_map(path)
+
+
+_DOC = '{"tweet_id":"t1","user_id":"u1","created_at":"2014-01-01T00:00:00","tokens":["a"]}'
+_MODEL_HEAD = ["stance-svm v2", "K 1", "C 1", "wi 0.9", "seed 42", "digest d", "epochs 3",
+               "violation 0"]
+
+# reader, file lines, number of the bad line, what the reader says about it
+STRICT_READERS = {
+    "documents": (read_documents, [_DOC, '{"tweet_id":"","user_id":"u1"}'], 2,
+                  "missing or empty tweet_id"),
+    "predictions": (read_predictions_tsv, ["t1\tu1\t2014-01-01T00:00:00\tsupport\t0.5",
+                                           "t2\tu1\t2014-01-01T00:00:00\tsupport"], 2,
+                    "expected 5 tab-separated fields"),
+    "features": (load_feature_set, ["1\ta\t1.000000\tsupport", "3\tb\t0.500000\toppose"], 2,
+                 "ranks must be consecutive from 1"),
+    "gold": (read_gold, ["t1\tsupport", "t2\tneutral"], 2, "unknown stance word: 'neutral'"),
+    "model-header": (load_model, ["stance-svm v3"] + _MODEL_HEAD[1:] + ["0.5", "0.1"], 1,
+                     "not a model file (bad header 'stance-svm v3')"),
+    "model-key": (load_model, _MODEL_HEAD[:3] + ["w 0.9"] + _MODEL_HEAD[4:] + ["0.5", "0.1"],
+                  4, "expected 'wi ...' line, got 'w 0.9'"),
+    "model-weight": (load_model, _MODEL_HEAD + ["0.5", "abc"], 10,
+                     "could not convert string to float: 'abc'"),
+    "tag-lexicon": (load_tag_lexicon, ["# tags", "中医爱好\tsupport", "反中医"], 3,
+                    "expected 'tag<TAB>stance'"),
+    "char-map": (load_char_map, ["醫\t医", "", "醫藥\t医"], 3, "cells must be single characters"),
+    "config-key": (parse_config_file, ["K = 10", "svm_cost = 2"], 2,
+                   "unknown config key 'svm_cost'"),
+    "config-value": (parse_config_file, ["# tuning", "K = abc"], 2,
+                     "config key 'K': invalid literal for int() with base 10: 'abc'"),
+}
+
+
+@pytest.mark.parametrize("name", STRICT_READERS)
+def test_every_strict_reader_names_the_file_and_line(name, tmp_path):
+    reader, lines, bad_line, text = STRICT_READERS[name]
+    path = tmp_path / "input"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ResourceFormatError) as exc:
+        reader(path)
+    assert str(exc.value) == f"{path}:{bad_line}: {text}"
+
+
+def test_only_the_locator_formats_a_line_number():
+    """A line number in an error message comes from ``resources.located``,
+    so no other module interpolates one into a string."""
+    offenders = []
+    for source in sorted(Path(tcm_stance.__file__).parent.glob("*.py")):
+        if source.name == "resources.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FormattedValue) and "lineno" in ast.unparse(node.value):
+                offenders.append(f"{source.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_load_resources_rejects_unknown_keys():

@@ -9,6 +9,7 @@ import pytest
 
 from tcm_stance.corpus import load_tweets, load_users, split_retweets
 from tcm_stance.preprocess import preprocess_tweet
+from tcm_stance.resources import ResourceFormatError
 from tcm_stance.stance import Stance
 from tcm_stance.supervision import is_tcm_topic, user_stance
 from tcm_stance.synth import SynthConfig, generate, read_gold, write_corpus
@@ -99,6 +100,14 @@ def test_read_gold_names_the_line_of_a_bad_stance(tmp_path):
     path.write_text("t1\tsupport\n\nt2\tsupportx\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: unknown stance word: 'supportx'")):
         read_gold(path)
+
+
+def test_read_gold_refuses_a_repeated_tweet_id(tmp_path):
+    path = tmp_path / "gold.tsv"
+    path.write_text("t1\tsupport\nt2\toppose\nt1\toppose\n", encoding="utf-8")
+    with pytest.raises(ResourceFormatError) as refused:
+        read_gold(path)
+    assert str(refused.value) == f"{path}:3: duplicate tweet_id 't1'"
 
 
 def test_write_corpus_is_byte_deterministic(tmp_path):
