@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from tcm_stance.cli import main as cli
+from tcm_stance.synth import SynthConfig
 
 
 def run(step: list[str]) -> None:
@@ -26,11 +27,12 @@ def run(step: list[str]) -> None:
 
 
 def main() -> int:
+    defaults = SynthConfig()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("experiment_out"))
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--users-pos", type=int, default=187)
-    parser.add_argument("--users-neg", type=int, default=29)
+    parser.add_argument("--users-pos", type=int, default=defaults.users_pos)
+    parser.add_argument("--users-neg", type=int, default=defaults.users_neg)
     parser.add_argument("--tag-noise", type=float, default=0.1)
     args = parser.parse_args()
 

@@ -19,7 +19,14 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import evaluation, reports, svm, synth
-from .config import KEY_PARSERS, PipelineConfig, build_config, parse_bool, parse_config_file
+from .config import (
+    KEY_PARSERS,
+    PipelineConfig,
+    build_config,
+    field_parsers,
+    parse_bool,
+    parse_config_file,
+)
 from .corpus import (
     check_id,
     dedupe_users,
@@ -57,25 +64,39 @@ def _warn_unconverged(fits: Sequence[svm.TrainMeta], cfg: svm.TrainConfig) -> No
 
 
 # ---------------------------------------------------------------------------
-# shared config plumbing
+# settings flags
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per PipelineConfig field: ``--<name with _ written as ->``."""
-    parser.add_argument("--config", type=Path, default=None, help="flat key = value config file")
-    for f in fields(PipelineConfig):
+# settings dataclass -> its fields' value parsers
+_FIELD_PARSERS = {PipelineConfig: KEY_PARSERS, SynthConfig: field_parsers(SynthConfig)}
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, cls: type) -> None:
+    """One flag per field of the settings dataclass ``cls``:
+    ``--<name with _ written as ->``, which reads None when not given."""
+    parsers = _FIELD_PARSERS[cls]
+    for f in fields(cls):
         flag = "--" + f.name.replace("_", "-")
         text = " ".join(filter(None, (f.metadata.get("help"), f"(default {f.default})")))
         kwargs = {"dest": f.name, "default": None, "help": text.replace("%", "%%")}
-        if KEY_PARSERS[f.name] is parse_bool:
+        if parsers[f.name] is parse_bool:
             parser.add_argument(flag, action="store_const", const=True, **kwargs)
         else:
-            parser.add_argument(flag, type=KEY_PARSERS[f.name], **kwargs)
+            parser.add_argument(flag, type=parsers[f.name], **kwargs)
+
+
+def _given_flags(args: argparse.Namespace, cls: type) -> dict[str, object]:
+    """The values of the flags of ``cls``'s fields that were given."""
+    return {key: value for key in _FIELD_PARSERS[cls] if (value := getattr(args, key)) is not None}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", type=Path, default=None, help="flat key = value config file")
+    _add_field_flags(parser, PipelineConfig)
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     file_values = parse_config_file(args.config) if args.config else None
-    overrides = {key: getattr(args, key, None) for key in KEY_PARSERS}
-    return build_config(file_values, overrides)
+    return build_config(file_values, _given_flags(args, PipelineConfig))
 
 
 # ---------------------------------------------------------------------------
@@ -126,33 +147,15 @@ def _write_report(args: argparse.Namespace, rows: list[list[str]],
 
 def _read_labeled_dataset(path: Path) -> LabeledDataset:
     docs = read_documents(path)
-    users: dict[str, Stance] = {}
-    tweet_ids: set[str] = set()
-    for doc in docs:
-        if doc.label is None:
-            raise ValueError(f"{path}: document {doc.tweet_id} has no label")
-        if doc.tweet_id in tweet_ids:
-            raise ValueError(f"{path}: duplicate tweet_id {doc.tweet_id!r}")
-        tweet_ids.add(doc.tweet_id)
-        if users.setdefault(doc.user_id, doc.label) is not doc.label:
-            raise ValueError(f"{path}: user {doc.user_id} carries conflicting labels")
-    return LabeledDataset(tuple(docs), users)
+    with located(path, ()):
+        return LabeledDataset(tuple(docs))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_synth(args: argparse.Namespace) -> None:
-    cfg = SynthConfig(
-        n_users_pos=args.users_pos,
-        n_users_neg=args.users_neg,
-        tweets_per_user=(args.tweets_min, args.tweets_max),
-        signal_strength=args.signal_strength,
-        tag_noise=args.tag_noise,
-        label_noise=args.label_noise,
-        seed=args.seed,
-    )
-    corpus = synth.generate(cfg)
+    corpus = synth.generate(SynthConfig(**_given_flags(args, SynthConfig)))
     paths = synth.write_corpus(corpus, args.out)
     _info(
         f"synth: {len(corpus.tweets)} tweets by {len(corpus.users)} users -> "
@@ -182,7 +185,8 @@ def cmd_label(args: argparse.Namespace) -> None:
     users, skipped = load_users(args.users)
     users = dedupe_users(users)
     on_topic = filter_topic(docs, resources.terminology)
-    dataset, remainder = label_corpus(on_topic, users, resources.tag_lexicon)
+    with located(args.docs, ()):
+        dataset, remainder = label_corpus(on_topic, users, resources.tag_lexicon)
     write_documents(args.out, dataset.documents)
     if args.remainder:
         write_documents(args.remainder, remainder)
@@ -354,17 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth_defaults = SynthConfig()
     p = sub.add_parser("synth", help="generate a synthetic corpus with gold labels")
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--users-pos", type=int, default=synth_defaults.n_users_pos)
-    p.add_argument("--users-neg", type=int, default=synth_defaults.n_users_neg)
-    p.add_argument("--tweets-min", type=int, default=synth_defaults.tweets_per_user[0])
-    p.add_argument("--tweets-max", type=int, default=synth_defaults.tweets_per_user[1])
-    p.add_argument("--signal-strength", type=float, default=synth_defaults.signal_strength)
-    p.add_argument("--tag-noise", type=float, default=synth_defaults.tag_noise)
-    p.add_argument("--label-noise", type=float, default=synth_defaults.label_noise)
-    p.add_argument("--seed", type=int, default=synth_defaults.seed)
+    _add_field_flags(p, SynthConfig)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("prep", help="ingest, split reposts and preprocess tweets")

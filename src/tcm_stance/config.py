@@ -59,11 +59,15 @@ def parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-# config key -> parser of its value text, by the field's type
-KEY_PARSERS: dict[str, Callable[[str], object]] = {
-    key: {Path: Path, int: int, float: float, bool: parse_bool}[hint]
-    for key, hint in get_type_hints(PipelineConfig).items()
-}
+def field_parsers(cls: type) -> dict[str, Callable[[str], object]]:
+    """Field name -> parser of its value text, by the field's type, for a
+    settings dataclass."""
+    by_type = {Path: Path, int: int, float: float, bool: parse_bool}
+    return {key: by_type[hint] for key, hint in get_type_hints(cls).items()}
+
+
+# config key -> parser of its value text
+KEY_PARSERS = field_parsers(PipelineConfig)
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:

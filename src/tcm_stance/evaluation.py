@@ -92,8 +92,6 @@ def stratified_kfold(
         raise ValueError("k must be at least 2")
     by_class: dict[Stance, list[int]] = {Stance.SUPPORTING: [], Stance.OPPOSING: []}
     for i, doc in enumerate(dataset.documents):
-        if doc.label is None:
-            raise ValueError("dataset contains an unlabeled document")
         by_class[doc.label].append(i)
     rng = random.Random(seed)
     folds: list[list[int]] = [[] for _ in range(k)]

@@ -37,14 +37,27 @@ def user_stance(tags: Iterable[str], lexicon: TagLexicon) -> Optional[Stance]:
 
 @dataclass(frozen=True)
 class LabeledDataset:
+    """Training documents: each has a label, no two share a ``tweet_id``
+    (CV results are keyed by it), and each author carries one label."""
+
     documents: tuple[Document, ...]
-    users: dict[str, Stance]  # every labeled document's author appears here
+
+    def __post_init__(self) -> None:
+        labels: dict[str, Stance] = {}
+        tweet_ids: set[str] = set()
+        for doc in self.documents:
+            if doc.label is None:
+                raise ValueError(f"document {doc.tweet_id} has no label")
+            if doc.tweet_id in tweet_ids:
+                raise ValueError(f"duplicate tweet_id {doc.tweet_id!r}")
+            tweet_ids.add(doc.tweet_id)
+            if labels.setdefault(doc.user_id, doc.label) is not doc.label:
+                raise ValueError(f"user {doc.user_id} carries conflicting labels")
 
     def class_counts(self) -> dict[Stance, int]:
         counts = {Stance.SUPPORTING: 0, Stance.OPPOSING: 0}
         for doc in self.documents:
-            if doc.label is not None:
-                counts[doc.label] += 1
+            counts[doc.label] += 1
         return counts
 
 
@@ -56,7 +69,8 @@ def label_corpus(
     """Split topic-filtered documents into a labeled set and a remainder.
 
     Documents whose author has a resolvable stance get that label; everything
-    else (unknown author, no tags, conflicting tags) lands in the remainder.
+    else (unknown author, no tags, conflicting tags) lands in the remainder,
+    unlabeled.  A ``tweet_id`` repeated in the labeled set is refused.
     """
     stances: dict[str, Stance] = {}
     for user in users:
@@ -68,7 +82,7 @@ def label_corpus(
     for doc in docs:
         stance = stances.get(doc.user_id)
         if stance is None:
-            remainder.append(doc)
+            remainder.append(doc if doc.label is None else relabel(doc, None))
         else:
             labeled.append(relabel(doc, stance))
-    return LabeledDataset(tuple(labeled), stances), remainder
+    return LabeledDataset(tuple(labeled)), remainder

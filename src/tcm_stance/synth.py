@@ -25,13 +25,12 @@ from .stance import Stance
 # regimen-and-trust flavored vocabulary for supporting authors
 SUPPORT_TERMS: tuple[str, ...] = (
     "养生", "健康", "治疗", "身体", "医生", "科学", "中国", "国家", "食疗", "调理",
-    "滋补", "保健", "锻炼", "按摩", "作息", "疗效",
 )
 
 # toxicity-and-controversy flavored vocabulary for opposing authors
 OPPOSE_TERMS: tuple[str, ...] = (
     "马兜铃酸", "朱砂", "注射液", "龙胆泻肝丸", "方舟子", "事件", "反对", "注射",
-    "毒性", "副作用", "肝损伤", "肾损伤", "致癌", "重金属", "伪科学", "安慰剂",
+    "毒性", "副作用",
 )
 
 # background vocabulary common to both classes
@@ -39,7 +38,6 @@ SHARED_TERMS: tuple[str, ...] = (
     "今天", "明天", "天气", "工作", "生活", "朋友", "时间", "文章", "分享", "学习",
     "喜欢", "觉得", "希望", "问题", "新闻", "电影", "音乐", "旅行", "城市", "北京",
     "上海", "公司", "学校", "老师", "学生", "孩子", "父母", "晚上", "早上", "周末",
-    "微博", "网友", "评论", "转发", "粉丝", "大学",
 )
 
 # topic markers planted in every tweet; deliberately disjoint from both class
@@ -49,40 +47,33 @@ NEUTRAL_TERMINOLOGY: tuple[str, ...] = (
 )
 
 
+# tweets are dated over MONTHS months from January of START_YEAR
+START_YEAR = 2013
+MONTHS = 14
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    n_users_pos: int = 187
-    n_users_neg: int = 29
-    tweets_per_user: tuple[int, int] = (10, 30)
-    vocab_shared: int = 30
-    vocab_pos: int = 10
-    vocab_neg: int = 10
+    """The generator's settings; each field is also a ``synth`` flag."""
+
+    users_pos: int = 187
+    users_neg: int = 29
+    tweets_min: int = 10  # each user's tweet count is drawn from [tweets_min, tweets_max]
+    tweets_max: int = 30
     signal_strength: float = 0.8
     tag_noise: float = 0.0     # probability a user's tag set comes out empty
     label_noise: float = 0.0   # probability a tweet reads like the other class
-    start_month: str = "2013-01"
-    months: int = 14
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.n_users_pos < 1 or self.n_users_neg < 1:
+        if self.users_pos < 1 or self.users_neg < 1:
             raise ValueError("user counts must be positive")
-        lo, hi = self.tweets_per_user
-        if not 1 <= lo <= hi:
-            raise ValueError("tweets_per_user must be a (low, high) range with 1 <= low <= high")
-        if not 3 <= self.vocab_shared <= len(SHARED_TERMS):
-            raise ValueError(f"vocab_shared must be in [3, {len(SHARED_TERMS)}]")
-        if not 1 <= self.vocab_pos <= len(SUPPORT_TERMS):
-            raise ValueError(f"vocab_pos must be in [1, {len(SUPPORT_TERMS)}]")
-        if not 1 <= self.vocab_neg <= len(OPPOSE_TERMS):
-            raise ValueError(f"vocab_neg must be in [1, {len(OPPOSE_TERMS)}]")
+        if not 1 <= self.tweets_min <= self.tweets_max:
+            raise ValueError("tweets per user need 1 <= tweets_min <= tweets_max")
         for name in ("signal_strength", "tag_noise", "label_noise"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        datetime.strptime(self.start_month, "%Y-%m")
-        if self.months < 1:
-            raise ValueError("months must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -92,11 +83,8 @@ class SynthCorpus:
     gold: dict[str, Stance]  # tweet id -> author's gold stance
 
 
-def _random_timestamp(rng: random.Random, cfg: SynthConfig) -> datetime:
-    base = datetime.strptime(cfg.start_month, "%Y-%m")
-    offset = rng.randrange(cfg.months)
-    month0 = base.year * 12 + (base.month - 1) + offset
-    year, month = divmod(month0, 12)
+def _random_timestamp(rng: random.Random) -> datetime:
+    year, month = divmod(START_YEAR * 12 + rng.randrange(MONTHS), 12)
     month += 1
     day = rng.randint(1, calendar.monthrange(year, month)[1])
     return datetime(year, month, day, rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59))
@@ -104,11 +92,7 @@ def _random_timestamp(rng: random.Random, cfg: SynthConfig) -> datetime:
 
 def generate(cfg: SynthConfig) -> SynthCorpus:
     rng = random.Random(cfg.seed)
-    shared = list(SHARED_TERMS[: cfg.vocab_shared])
-    class_vocab = {
-        Stance.SUPPORTING: list(SUPPORT_TERMS[: cfg.vocab_pos]),
-        Stance.OPPOSING: list(OPPOSE_TERMS[: cfg.vocab_neg]),
-    }
+    class_vocab = {Stance.SUPPORTING: SUPPORT_TERMS, Stance.OPPOSING: OPPOSE_TERMS}
     tag_lexicon = load_tag_lexicon(DEFAULT_PATHS["tag_lexicon"])
     tag_pool = {
         Stance.SUPPORTING: [t for t, s in tag_lexicon.items() if s is Stance.SUPPORTING],
@@ -121,8 +105,8 @@ def generate(cfg: SynthConfig) -> SynthCorpus:
     gold: dict[str, Stance] = {}
     tweet_no = 0
     plan = [
-        (Stance.SUPPORTING, "us", cfg.n_users_pos),
-        (Stance.OPPOSING, "uo", cfg.n_users_neg),
+        (Stance.SUPPORTING, "us", cfg.users_pos),
+        (Stance.OPPOSING, "uo", cfg.users_neg),
     ]
     for stance, prefix, count in plan:
         for u in range(count):
@@ -134,20 +118,19 @@ def generate(cfg: SynthConfig) -> SynthCorpus:
                 decoys = rng.sample(neutral_tags, rng.randint(0, 2))
                 tags = tuple(own + decoys)
             users.append(UserProfile(uid, tags))
-            for _ in range(rng.randint(*cfg.tweets_per_user)):
+            for _ in range(rng.randint(cfg.tweets_min, cfg.tweets_max)):
                 tweet_no += 1
                 tid = f"t{tweet_no:06d}"
                 content_stance = stance
                 if cfg.label_noise and rng.random() < cfg.label_noise:
                     content_stance = stance.other()
                 tokens = rng.sample(NEUTRAL_TERMINOLOGY, 2)
-                tokens += rng.sample(shared, rng.randint(3, min(8, len(shared))))
+                tokens += rng.sample(SHARED_TERMS, rng.randint(3, 8))
                 if rng.random() < cfg.signal_strength:
-                    pool = class_vocab[content_stance]
-                    tokens += rng.sample(pool, rng.randint(1, min(3, len(pool))))
+                    tokens += rng.sample(class_vocab[content_stance], rng.randint(1, 3))
                 rng.shuffle(tokens)
                 text = "，".join(tokens)
-                tweets.append((Tweet(tid, uid, text, _random_timestamp(rng, cfg)),))
+                tweets.append((Tweet(tid, uid, text, _random_timestamp(rng)),))
                 gold[tid] = stance
     return SynthCorpus(tuple(tweets), tuple(users), gold)
 

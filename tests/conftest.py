@@ -38,12 +38,8 @@ def peak_bytes(run) -> int:
 
 def make_dataset(rows) -> LabeledDataset:
     """rows: (user_id, tokens, stance) triples; tweet ids are positional."""
-    docs = []
-    users = {}
-    for i, (user_id, tokens, stance) in enumerate(rows):
-        docs.append(make_doc(f"t{i:04d}", user_id, tokens, stance))
-        users[user_id] = stance
-    return LabeledDataset(tuple(docs), users)
+    return LabeledDataset(tuple(make_doc(f"t{i:04d}", user_id, tokens, stance)
+                                for i, (user_id, tokens, stance) in enumerate(rows)))
 
 
 def make_resources(lexicon=(), stopwords=(), ads=(), terminology=(),

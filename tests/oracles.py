@@ -202,7 +202,7 @@ def reference_cross_validate(dataset: LabeledDataset, feature_count: int, cfg: T
     for train_idx, test_idx in splits:
         train_docs = tuple(docs[i] for i in train_idx)
         fs = whole if leaky_selection else select_features(
-            collect_stats(LabeledDataset(train_docs, dataset.users)), feature_count)
+            collect_stats(LabeledDataset(train_docs)), feature_count)
         data = [(vectorize(d, fs), 1 if d.label is Stance.SUPPORTING else -1)
                 for d in train_docs]
         model = train(data, cfg, n_features=len(fs))

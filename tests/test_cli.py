@@ -142,11 +142,34 @@ def test_prep_skips_an_invalid_utf8_line(tmp_path, capsys):
     assert [d.tweet_id for d in read_documents(tmp_path / "docs.jsonl")] == ["t0", "t1", "t2"]
 
 
+# a valid value other than the default for every SynthConfig field
+SYNTH_SETTINGS = {"users_pos": 9, "users_neg": 7, "tweets_min": 2, "tweets_max": 5,
+                  "signal_strength": 0.6, "tag_noise": 0.2, "label_noise": 0.1, "seed": 3}
+
+
 def test_synth_without_tuning_flags_writes_the_default_corpus(tmp_path):
-    assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
-    expected = write_corpus(generate(SynthConfig()), tmp_path / "lib")
-    for path in expected.values():
-        assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes(), path.name
+    """With no tuning flag, and with every one, synth writes what the library
+    does for the same SynthConfig."""
+    for name, settings in (("default", {}), ("every_flag", SYNTH_SETTINGS)):
+        flags = [str(a) for key, value in settings.items()
+                 for a in ("--" + key.replace("_", "-"), value)]
+        assert main(["synth", "--out", str(tmp_path / name / "cli")] + flags) == 0
+        expected = write_corpus(generate(SynthConfig(**settings)), tmp_path / name / "lib")
+        for path in expected.values():
+            assert (tmp_path / name / "cli" / path.name).read_bytes() == path.read_bytes(), \
+                (name, path.name)
+
+
+def test_every_synth_setting_is_a_flag_whose_help_shows_its_default(monkeypatch, capsys):
+    assert sorted(SYNTH_SETTINGS) == sorted(f.name for f in fields(SynthConfig))
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for f in fields(SynthConfig):
+        flag = "--" + f.name.replace("_", "-")
+        assert re.search(rf"^\s+{flag} \S+\s+.*\(default {f.default}\)$", out, re.M), flag
 
 
 def test_a_year_below_1000_passes_every_stage(tmp_path):
@@ -379,6 +402,65 @@ def test_a_repeated_tweet_id_in_a_labeled_file_is_fatal(tmp_path, capsys, monkey
     assert main(command + ["--labeled", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}: duplicate tweet_id 't1'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["labeled.jsonl"]
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--model-out", "m.txt", "--features-out", "f.tsv"],
+    ["cv", "--out", "cv.csv"],
+    ["sweep", "--axis", "gamma", "--values", "0.5,1.0", "--out", "sweep.csv"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("docs, message", [
+    ([make_doc("t1", "u1", ("经络", "穴位"), Stance.SUPPORTING),
+      make_doc("t2", "u2", ("经络", "拔罐"), Stance.OPPOSING),
+      make_doc("t3", "u3", ("经络", "拔罐"))],
+     "document t3 has no label"),
+    ([make_doc("t1", "u1", ("经络", "穴位"), Stance.SUPPORTING),
+      make_doc("t2", "u2", ("经络", "拔罐"), Stance.OPPOSING),
+      make_doc("t3", "u1", ("经络", "拔罐"), Stance.OPPOSING)],
+     "user u1 carries conflicting labels"),
+], ids=["no-label", "conflicting-labels"])
+def test_a_labeled_file_that_breaks_a_labeled_set_rule_is_fatal(
+        tmp_path, capsys, monkeypatch, command, docs, message):
+    path = tmp_path / "labeled.jsonl"
+    write_documents(path, docs)
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--labeled", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["labeled.jsonl"]
+
+
+def _write_label_inputs(tmp_path, docs) -> list[str]:
+    """label's argv for these documents and two tagged authors, fan and hater."""
+    write_documents(tmp_path / "docs.jsonl", docs)
+    (tmp_path / "users.jsonl").write_text(
+        '{"user_id":"fan","tags":["中医粉"]}\n{"user_id":"hater","tags":["中医黑"]}\n',
+        encoding="utf-8")
+    return ["label", "--docs", str(tmp_path / "docs.jsonl"),
+            "--users", str(tmp_path / "users.jsonl"),
+            "--out", str(tmp_path / "labeled.jsonl"),
+            "--remainder", str(tmp_path / "rest.jsonl")]
+
+
+def test_label_writes_the_remainder_without_labels(tmp_path):
+    # a labeled file read back as label input: only fan still has a stance tag
+    docs = [make_doc(f"t{i}", user, ("中医", "针灸"), stance)
+            for i, (user, stance) in enumerate([("fan", Stance.SUPPORTING),
+                                                ("other", Stance.OPPOSING),
+                                                ("other", Stance.OPPOSING)])]
+    assert main(_write_label_inputs(tmp_path, docs)) == 0
+    rest = read_documents(tmp_path / "rest.jsonl")
+    assert [(d.tweet_id, d.label) for d in rest] == [("t1", None), ("t2", None)]
+    assert b'"label"' not in (tmp_path / "rest.jsonl").read_bytes()
+    assert [(d.tweet_id, d.label) for d in read_documents(tmp_path / "labeled.jsonl")] == \
+        [("t0", Stance.SUPPORTING)]
+
+
+def test_label_refuses_a_repeated_tweet_id(tmp_path, capsys):
+    docs = [make_doc("t1", "fan", ("中医", "针灸")), make_doc("t1", "hater", ("中医", "针灸"))]
+    argv = _write_label_inputs(tmp_path, docs)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'docs.jsonl'}: duplicate tweet_id 't1'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["docs.jsonl", "users.jsonl"]
 
 
 @pytest.mark.parametrize("argv, has_chart", [

@@ -377,7 +377,7 @@ def test_fold_plan_ranks_each_training_fold_as_select_features_would(corpus, max
     assert [(train_idx, test_idx) for train_idx, test_idx, _ in plan] == \
         stratified_kfold(dataset, k, seed)
     for train_idx, _, ranking in plan:
-        training = LabeledDataset(tuple(docs[i] for i in train_idx), dataset.users)
+        training = LabeledDataset(tuple(docs[i] for i in train_idx))
         expected = select_features(collect_stats(training), max_k).terms
         assert ranking == expected
         assert _exact(ranking) == _exact(expected)
@@ -397,7 +397,7 @@ def test_a_fold_plan_counts_each_document_twice(k):
 
     plain = noisy_dataset(n_docs=60)
     docs = tuple(replace(d, tokens=CountedTokens(d.tokens)) for d in plain.documents)
-    dataset = LabeledDataset(docs, plain.users)
+    dataset = LabeledDataset(docs)
     _fold_plan(dataset, 8, k, 11, False)
     assert CountedTokens.iterations == 2 * len(docs)
 

@@ -300,8 +300,7 @@ def test_counting_rejects_an_unlabeled_document():
         make_doc("t2", "u2", ("y",), Stance.OPPOSING),
         make_doc("t3", "u3", ("x", "z"), None),
     )
-    dataset = LabeledDataset(docs, {"u1": Stance.SUPPORTING, "u2": Stance.OPPOSING})
-    with pytest.raises(ValueError, match="dataset contains an unlabeled document"):
-        select_features(collect_stats(dataset), 3)
+    with pytest.raises(ValueError, match="document t3 has no label"):
+        LabeledDataset(docs)
     with pytest.raises(ValueError, match="dataset contains an unlabeled document"):
         fold_rankings(docs, [[0]], 3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from tcm_stance.resources import TermList
 from tcm_stance.stance import Stance
 from tcm_stance.supervision import (
     MIN_TOPIC_TERMS,
+    LabeledDataset,
     filter_topic,
     is_tcm_topic,
     label_corpus,
@@ -88,13 +90,41 @@ def test_label_corpus_splits_and_labels():
     assert [d.tweet_id for d in remainder] == ["t3", "t5"]
     assert all(d.label is None for d in remainder)
 
-    # the user map covers every labeled author and only resolvable users
-    assert dataset.users["fan"] is Stance.SUPPORTING
-    assert dataset.users["hater"] is Stance.OPPOSING
-    assert "torn" not in dataset.users
-    assert {d.user_id for d in dataset.documents} <= set(dataset.users)
+    # each labeled author carries the stance their tags resolve to; an
+    # unknown author and one with conflicting tags stay unlabeled
+    assert {(d.user_id, d.label) for d in dataset.documents} == {
+        ("fan", Stance.SUPPORTING), ("hater", Stance.OPPOSING)}
+    assert [d.user_id for d in remainder] == ["ghost", "torn"]
 
     assert dataset.class_counts() == {Stance.SUPPORTING: 2, Stance.OPPOSING: 1}
+
+
+def test_label_corpus_clears_the_label_of_a_remainder_document():
+    docs = [
+        make_doc("t1", "ghost", ("经络", "穴位"), Stance.OPPOSING),
+        make_doc("t2", "ghost", ("经络", "拔罐")),
+        make_doc("t3", "fan", ("经络", "拔罐"), Stance.OPPOSING),
+    ]
+    dataset, remainder = label_corpus(docs, [UserProfile("fan", ("中医爱好",))], LEX)
+    assert [(d.tweet_id, d.label) for d in remainder] == [("t1", None), ("t2", None)]
+    assert remainder[1] is docs[1]  # an unlabeled document passes through as it is
+    assert [(d.tweet_id, d.label) for d in dataset.documents] == [("t3", Stance.SUPPORTING)]
+
+
+@pytest.mark.parametrize("docs, message", [
+    ([make_doc("t1", "u1", ("x",), Stance.SUPPORTING), make_doc("t2", "u2", ("y",))],
+     "document t2 has no label"),
+    ([make_doc("t1", "u1", ("x",), Stance.SUPPORTING),
+      make_doc("t1", "u2", ("y",), Stance.OPPOSING)],
+     "duplicate tweet_id 't1'"),
+    ([make_doc("t1", "u1", ("x",), Stance.SUPPORTING),
+      make_doc("t2", "u1", ("y",), Stance.OPPOSING)],
+     "user u1 carries conflicting labels"),
+], ids=["no-label", "repeated-tweet-id", "conflicting-labels"])
+def test_a_labeled_dataset_refuses_what_training_cannot_use(docs, message):
+    with pytest.raises(ValueError) as refused:
+        LabeledDataset(tuple(docs))
+    assert str(refused.value) == message
 
 
 def test_label_corpus_with_bundled_lexicon(default_resources):

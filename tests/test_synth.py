@@ -14,8 +14,7 @@ from tcm_stance.stance import Stance
 from tcm_stance.supervision import is_tcm_topic, user_stance
 from tcm_stance.synth import SynthConfig, generate, read_gold, write_corpus
 
-SMALL = SynthConfig(n_users_pos=12, n_users_neg=5, tweets_per_user=(3, 6),
-                    months=3, seed=99)
+SMALL = SynthConfig(users_pos=12, users_neg=5, tweets_min=3, tweets_max=6, seed=99)
 
 
 def test_generation_is_deterministic():
@@ -23,8 +22,7 @@ def test_generation_is_deterministic():
 
 
 def test_different_seeds_differ():
-    other = SynthConfig(n_users_pos=12, n_users_neg=5, tweets_per_user=(3, 6),
-                        months=3, seed=100)
+    other = SynthConfig(users_pos=12, users_neg=5, tweets_min=3, tweets_max=6, seed=100)
     assert generate(SMALL) != generate(other)
 
 
@@ -47,14 +45,14 @@ def test_corpus_shape():
 def test_timestamps_stay_in_the_window():
     corpus = generate(SMALL)
     lo = datetime(2013, 1, 1)
-    hi = datetime(2013, 4, 1)
+    hi = datetime(2014, 3, 1)  # 14 months on
     for t in split_retweets(corpus.tweets):
         assert lo <= t.created_at < hi
 
 
 def test_gold_matches_the_author_class_even_with_label_noise():
-    noisy = SynthConfig(n_users_pos=8, n_users_neg=4, tweets_per_user=(2, 4),
-                        months=2, label_noise=0.5, seed=7)
+    noisy = SynthConfig(users_pos=8, users_neg=4, tweets_min=2, tweets_max=4,
+                        label_noise=0.5, seed=7)
     corpus = generate(noisy)
     for t in split_retweets(corpus.tweets):
         expected = Stance.SUPPORTING if t.user_id.startswith("us") else Stance.OPPOSING
@@ -70,8 +68,8 @@ def test_tags_resolve_to_the_gold_stance(default_resources):
 
 
 def test_tag_noise_empties_tag_sets():
-    cfg = SynthConfig(n_users_pos=6, n_users_neg=3, tweets_per_user=(2, 3),
-                      months=2, tag_noise=1.0, seed=1)
+    cfg = SynthConfig(users_pos=6, users_neg=3, tweets_min=2, tweets_max=3,
+                      tag_noise=1.0, seed=1)
     corpus = generate(cfg)
     assert all(u.tags == () for u in corpus.users)
 
@@ -118,14 +116,11 @@ def test_write_corpus_is_byte_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"n_users_pos": 0},
-    {"tweets_per_user": (0, 5)},
-    {"tweets_per_user": (6, 2)},
+    {"users_pos": 0},
+    {"tweets_min": 0, "tweets_max": 5},
+    {"tweets_min": 6, "tweets_max": 2},
     {"signal_strength": 1.5},
     {"tag_noise": -0.1},
-    {"start_month": "2013/01"},
-    {"months": 0},
-    {"vocab_shared": 2},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
