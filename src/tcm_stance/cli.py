@@ -271,6 +271,12 @@ def parse_sweep_values(spec: str, axis: str) -> list[float]:
             raise ValueError("sweep values must be finite numbers")
     if not values:
         raise ValueError("no sweep values given")
+    seen: set[float] = set()
+    for v in values:
+        if v in seen:
+            shown = str(int(v)) if v.is_integer() else repr(v)
+            raise ValueError(f"sweep values must be distinct: {shown} is given more than once")
+        seen.add(v)
     if axis == "feature_count":
         for v in values:
             if int(v) != v:

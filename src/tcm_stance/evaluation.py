@@ -32,7 +32,7 @@ from .features import (
 from .preprocess import Document
 from .stance import Stance
 from .supervision import LabeledDataset
-from .svm import TrainConfig, TrainMeta, score, train
+from .svm import TrainConfig, TrainMeta, score, shuffle, train
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,9 @@ def compute_metrics(pairs: Sequence[tuple[Stance, Stance]]) -> MetricsReport:
 def stratified_kfold(
     dataset: LabeledDataset, k: int, seed: int
 ) -> list[tuple[list[int], list[int]]]:
-    """k (train_indices, test_indices) splits with per-class round-robin deal."""
+    """k (train_indices, test_indices) splits with per-class round-robin deal.
+    Each class is shuffled with ``svm.shuffle``, so the deal is the one
+    ``random.Random(seed).shuffle`` gives without depending on it."""
     if k < 2:
         raise ValueError("k must be at least 2")
     by_class: dict[Stance, list[int]] = {Stance.SUPPORTING: [], Stance.OPPOSING: []}
@@ -99,7 +101,7 @@ def stratified_kfold(
         idxs = list(by_class[cls])
         if len(idxs) < k:
             raise ValueError(f"class {cls.wire} has fewer than k={k} examples")
-        rng.shuffle(idxs)
+        shuffle(rng, idxs)
         for j, doc_index in enumerate(idxs):
             folds[j % k].append(doc_index)
     everything = set(range(len(dataset.documents)))
@@ -175,6 +177,10 @@ def _run_plan(
     rows too.  Test vectors are scored as presence vectors (``score``).  Per
     setting only the predicted stances (pooled: fold order, then test index
     order) and the fits (fold order) are kept.
+
+    A fold's effective K is ``min(count, len(ranking))``: settings that
+    reach the same effective K and training config there train identical
+    inputs, so they share one fit and its stances.
     """
     docs = dataset.documents
     labels = [1 if d.label is Stance.SUPPORTING else -1 for d in docs]
@@ -184,15 +190,21 @@ def _run_plan(
     for train_idx, test_idx, ranking in plan:
         index = {t.term: j for j, t in enumerate(ranking[:max_k])}
         columns = [presence_columns(docs[i].tokens, index) for i in (*train_idx, *test_idx)]
-        for count in dict.fromkeys(count for count, _ in settings):
+        effective = [(min(count, len(ranking)), cfg) for count, cfg in settings]
+        for count in dict.fromkeys(count for count, _ in effective):
             vectors = _shared_vectors(columns, count)
             data = list(zip(vectors, (labels[i] for i in train_idx)))
             test = vectors[len(train_idx):]
-            for s, (setting_count, cfg) in enumerate(settings):
+            fitted: dict[TrainConfig, tuple[TrainMeta, list[Stance]]] = {}
+            for s, (setting_count, cfg) in enumerate(effective):
                 if setting_count == count:
-                    model = train(data, cfg, n_features=min(count, len(ranking)))
-                    fits[s].append(model.train_meta)
-                    stances[s].extend(score(model.weights, x.indices)[0] for x in test)
+                    fit = fitted.get(cfg)
+                    if fit is None:
+                        model = train(data, cfg, n_features=count)
+                        fit = fitted[cfg] = (model.train_meta,
+                                             [score(model.weights, x.indices)[0] for x in test])
+                    fits[s].append(fit[0])
+                    stances[s].extend(fit[1])
     return [(pooled, tuple(meta)) for pooled, meta in zip(stances, fits)]
 
 

@@ -19,7 +19,7 @@ clip(a_i - G / Q_ii, 0, C_i), and w is updated incrementally.
 
 Passes shrink the problem (Hsieh et al., ICML 2008, Alg. 3; LIBLINEAR).
 Each pass visits the active examples in the order that
-random.Random(seed).shuffle would draw; ``_shuffle`` computes that
+random.Random(seed).shuffle would draw; ``shuffle`` computes that
 permutation here, so the order does not depend on CPython's shuffle
 implementation.  An example leaves the active set when it sits at a bound
 (a_i = 0 or a_i = C_i) and its gradient points out of the box by more than
@@ -32,6 +32,20 @@ max_epochs * n coordinate visits, and the last pass before the cap always
 runs over every example.  The reported epochs are visits / n rounded up,
 and the reported violation is always the recomputed one, so it is under the
 tolerance exactly when the fit converged.
+
+A visit is kept cheap without changing any iterate.  The bias weight lives
+in a local float, written back to its slot before each final check, and a
+row holds its columns without the bias slot.  A presence row's margin is
+then the bias alone (no column), w[j] plus the bias (one column), or the
+columns added left to right plus the bias: the same float additions in the
+same order as adding the bias slot as a last column, minus a leading
+``0.0 +``.  That term changes nothing, because no weight is ever -0.0: each
+starts at +0.0, and a sum is -0.0 only when both terms are.  Rows with
+values add the bias the same way (``b * 1.0`` is ``b``); with fit_bias off
+every row is one with values and no bias, presence rows included
+(``w[j] * 1.0`` is ``w[j]``).  Updates write the same deltas to the same
+slots.  A visit whose gradient is 0 stops after one comparison, and a pass
+records only the examples it shrinks.
 """
 
 from __future__ import annotations
@@ -39,6 +53,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import filterfalse
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -125,13 +140,18 @@ class DualSolution:
     final_violation: float
 
 
-# one training example as the solver holds it, read-only and shared by equal
-# examples: indices (bias slot included), values (None marks the all-ones
-# fast path), label, alpha cap and Q_ii
-_Row = tuple[list[int], list[float] | None, float, float, float]
+# One training example as the solver holds it, read-only and shared by equal
+# examples: (kind, columns, values, label, alpha cap, Q_ii).  The kind says
+# how its margin is added, always left to right and with the bias last:
+#   0  the bias alone (columns and values unused)
+#   1  one presence column, held as the int itself, then the bias
+#   2  several presence columns, then the bias
+#   3  columns with values, then the bias
+#   4  columns with values and no bias (fit_bias off)
+_Row = tuple[int, int | tuple[int, ...], tuple[float, ...] | None, float, float, float]
 
 
-def _shuffle(rng: random.Random, x: list) -> None:
+def shuffle(rng: random.Random, x: list) -> None:
     """Shuffle x in place into the permutation ``rng.shuffle(x)`` would give,
     leaving rng in the same state.
 
@@ -154,24 +174,36 @@ def _shuffle(rng: random.Random, x: list) -> None:
         hi = lo - 1
 
 
+def _margin(row: _Row, w: list[float], b: float) -> float:
+    """<w, x> of a row, bias b included, added as the pass adds it."""
+    kind, cols, vals = row[:3]
+    if kind == 0:
+        return b
+    if kind == 1:
+        return w[cols] + b
+    s = 0.0
+    if kind == 2:
+        for j in cols:
+            s += w[j]
+        return s + b
+    for j, v in zip(cols, vals):
+        s += w[j] * v
+    return s + b if kind == 3 else s
+
+
 def _max_violation(rows: list[_Row], alphas: list[float], w: list[float]) -> float:
-    """Largest |projected gradient| over every example, at the given w.
-    A shared row's margin is computed once, added left to right as the pass
-    adds it (``sum`` of floats is compensated from Python 3.12 on)."""
+    """Largest |projected gradient| over every example, at the given w (bias
+    slot last).  A shared row's margin is computed once, added left to right
+    as the pass adds it (``sum`` of floats is compensated from Python 3.12
+    on)."""
+    b = w[-1]
     worst = 0.0
     margins: dict[int, float] = {}
     for row, a in zip(rows, alphas):
-        idx, vals, y, u, _q = row
         s = margins.get(id(row))
         if s is None:
-            s = 0.0
-            if vals is None:
-                for j in idx:
-                    s += w[j]
-            else:
-                for j, v in zip(idx, vals):
-                    s += w[j] * v
-            margins[id(row)] = s
+            s = margins[id(row)] = _margin(row, w, b)
+        y, u = row[3], row[4]
         g = y * s - 1.0
         # the projected gradient is 0 where g points out of the box
         if a <= 0.0:
@@ -207,7 +239,6 @@ def solve_dual(
         raise ValueError("empty training set")
     _check_labels(data)
 
-    bias_index = n_features
     # one (label, cap) pair of floats per class, shared by all of its rows
     label_cap = {y: (float(y), _upper_bound(y, cfg)) for y in (1, -1)}
     distinct: dict[tuple, _Row] = {}
@@ -218,21 +249,21 @@ def solve_dual(
         if row is None:
             if vec.indices and (vec.indices[-1] >= n_features):
                 raise ValueError("vector index out of range for n_features")
-            idx = list(vec.indices)
-            vals = list(vec.values)
-            if fit_bias:
-                idx.append(bias_index)
-                vals.append(1.0)
-            if all(v == 1.0 for v in vals):
-                row = (idx, None, *label_cap[y], len(idx))
+            cols, vals = vec.indices, vec.values
+            if not fit_bias:
+                row = (4, cols, vals, *label_cap[y], math.fsum(v * v for v in vals))
+            elif vals.count(1.0) == len(vals):
+                kind = min(len(cols), 2)
+                row = (kind, cols[0] if kind == 1 else cols, None, *label_cap[y], len(cols) + 1)
             else:
-                row = (idx, vals, *label_cap[y], math.fsum(v * v for v in vals))
+                row = (3, cols, vals, *label_cap[y], math.fsum([1.0, *(v * v for v in vals)]))
             distinct[key] = row
         rows.append(row)
 
     n = len(data)
     alphas = [0.0] * n
     w = [0.0] * (n_features + 1)
+    b = 0.0  # the bias weight, written back to w[n_features] for each check
 
     rng = random.Random(cfg.seed)
     order = list(range(n))  # order[:active] is the active set
@@ -246,69 +277,92 @@ def solve_dual(
             active, threshold = n, math.inf
         full = active == n
         prefix = order[:active]
-        _shuffle(rng, prefix)
-        kept: list[int] = []
+        shuffle(rng, prefix)
         shrunk: list[int] = []
-        keep = kept.append
+        shrink = shrunk.append
         max_violation = 0.0
         for i in prefix:
-            idx, vals, y, u, q = rows[i]
-            if vals is None:
+            kind, cols, vals, y, u, q = rows[i]
+            if kind == 0:
+                s = b
+            elif kind == 1:
+                s = w[cols] + b
+            elif kind == 2:
                 s = 0.0
-                for j in idx:
+                for j in cols:
                     s += w[j]
+                s += b
             else:
                 s = 0.0
-                for j, v in zip(idx, vals):
+                for j, v in zip(cols, vals):
                     s += w[j] * v
+                if kind == 3:
+                    s += b
             g = y * s - 1.0
             if g != g:
                 raise FloatingPointError("non-finite gradient during training")
+            # pg, the |projected gradient|, is 0 where g is 0 or points out
+            # of the box: such a visit moves nothing, and it shrinks when g
+            # points out by more than the threshold
+            if g == 0.0:
+                continue
             a = alphas[i]
             if a <= 0.0:
-                if g > threshold:
-                    shrunk.append(i)
+                if g > 0.0:
+                    if g > threshold:
+                        shrink(i)
                     continue
-                pg = g if g < 0.0 else 0.0
+                pg = -g
             elif a >= u:
-                if -g > threshold:
-                    shrunk.append(i)
+                if g < 0.0:
+                    if -g > threshold:
+                        shrink(i)
                     continue
-                pg = g if g > 0.0 else 0.0
-            else:
                 pg = g
-            keep(i)
-            if pg != 0.0:
-                apg = -pg if pg < 0.0 else pg
-                if apg > max_violation:
-                    max_violation = apg
-                if q > 0.0:
-                    new_a = a - g / q
+            else:
+                pg = g if g > 0.0 else -g
+            if pg > max_violation:
+                max_violation = pg
+            if q > 0.0:
+                new_a = a - g / q
+            else:
+                # zero-norm row: any alpha leaves w unchanged, jump to the
+                # bound the gradient points at so the violation clears
+                new_a = u if g < 0.0 else 0.0
+            if new_a < 0.0:
+                new_a = 0.0
+            elif new_a > u:
+                new_a = u
+            if new_a != a:
+                delta = (new_a - a) * y
+                if kind == 0:
+                    b += delta
+                elif kind == 1:
+                    w[cols] += delta
+                    b += delta
+                elif kind == 2:
+                    for j in cols:
+                        w[j] += delta
+                    b += delta
                 else:
-                    # zero-norm row: any alpha leaves w unchanged, jump to the
-                    # bound the gradient points at so the violation clears
-                    new_a = u if g < 0.0 else 0.0
-                if new_a < 0.0:
-                    new_a = 0.0
-                elif new_a > u:
-                    new_a = u
-                if new_a != a:
-                    delta = (new_a - a) * y
-                    if vals is None:
-                        for j in idx:
-                            w[j] += delta
-                    else:
-                        for j, v in zip(idx, vals):
-                            w[j] += delta * v
-                    alphas[i] = new_a
+                    for j, v in zip(cols, vals):
+                        w[j] += delta * v
+                    if kind == 3:
+                        b += delta
+                alphas[i] = new_a
         visits += active
-        order[:active] = kept + shrunk
-        active, threshold = len(kept), max_violation
+        # the kept examples in pass order, then the shrunk ones
+        if shrunk:
+            order[:active] = [*filterfalse(set(shrunk).__contains__, prefix), *shrunk]
+        else:
+            order[:active] = prefix
+        active, threshold = active - len(shrunk), max_violation
         if max_violation < cfg.tolerance and not full:
             active, threshold = n, math.inf  # confirm on every example
             continue
         at_cap = budget - visits < n
         if max_violation < cfg.tolerance or at_cap:
+            w[n_features] = b
             violation = _max_violation(rows, alphas, w)
             if violation < cfg.tolerance or at_cap:
                 break

@@ -2,12 +2,13 @@
 
 Everything here is written in the most literal style available (explicit
 2x2 contingency tables, brute-force grid enumeration with numpy, a dual
-solver that visits every example in every epoch, a fresh cross-validation
-per setting, a segmenter that probes every length, a lexicon merged one
-list at a time, documents written through the JSON encoder, time buckets
-keyed by their labels, the predict and adjust commands as list pipelines
-over per-row objects) so that a mistake in these oracles is unlikely to correlate
-with a mistake in the optimized code under test.
+solver that visits every example in every epoch, the shrinking solver as
+first written, a fresh cross-validation per setting, a segmenter that
+probes every length, a lexicon merged one list at a time, documents written
+through the JSON encoder, time buckets keyed by their labels, the predict
+and adjust commands as list pipelines over per-row objects) so that a
+mistake in these oracles is unlikely to correlate with a mistake in the
+optimized code under test.
 """
 
 from __future__ import annotations
@@ -189,6 +190,163 @@ def reference_solve_dual(
         raise FloatingPointError("training produced non-finite weights")
     return DualSolution(tuple(w), tuple(alphas), epochs_run, violation)
 
+
+def _reference_max_violation(rows, alphas, w) -> float:
+    """Largest |projected gradient| over every example, at the given w."""
+    worst = 0.0
+    margins: dict[int, float] = {}
+    for row, a in zip(rows, alphas):
+        idx, vals, y, u, _q = row
+        s = margins.get(id(row))
+        if s is None:
+            s = 0.0
+            if vals is None:
+                for j in idx:
+                    s += w[j]
+            else:
+                for j, v in zip(idx, vals):
+                    s += w[j] * v
+            margins[id(row)] = s
+        g = y * s - 1.0
+        # the projected gradient is 0 where g points out of the box
+        if a <= 0.0:
+            if g > 0.0:
+                continue
+        elif a >= u:
+            if g < 0.0:
+                continue
+        if g < 0.0:
+            g = -g
+        if g > worst:
+            worst = g
+    return worst
+
+
+def reference_shrinking_solve_dual(
+    data: Sequence[Example],
+    cfg: TrainConfig,
+    n_features: int,
+    *,
+    fit_bias: bool = True,
+) -> DualSolution:
+    """The shrinking solver as first written: every row holds the bias slot
+    as a column, each kept example is appended to a list on every visit,
+    and the passes draw their orders with the library's shuffle.  Its
+    iterates, and so its whole DualSolution, are what ``solve_dual`` must
+    reproduce bit for bit."""
+    if not data:
+        raise ValueError("empty training set")
+    _check_labels(data)
+
+    bias_index = n_features
+    # one (label, cap) pair of floats per class, shared by all of its rows
+    label_cap = {y: (float(y), _upper_bound(y, cfg)) for y in (1, -1)}
+    distinct: dict[tuple, tuple] = {}
+    rows: list[tuple] = []
+    for vec, y in data:
+        key = (vec.indices, vec.values, y)
+        row = distinct.get(key)
+        if row is None:
+            if vec.indices and (vec.indices[-1] >= n_features):
+                raise ValueError("vector index out of range for n_features")
+            idx = list(vec.indices)
+            vals = list(vec.values)
+            if fit_bias:
+                idx.append(bias_index)
+                vals.append(1.0)
+            if all(v == 1.0 for v in vals):
+                row = (idx, None, *label_cap[y], len(idx))
+            else:
+                row = (idx, vals, *label_cap[y], math.fsum(v * v for v in vals))
+            distinct[key] = row
+        rows.append(row)
+
+    n = len(data)
+    alphas = [0.0] * n
+    w = [0.0] * (n_features + 1)
+
+    rng = random.Random(cfg.seed)
+    order = list(range(n))  # order[:active] is the active set
+    active = n
+    threshold = math.inf    # shrink past this out-of-box gradient
+    budget = cfg.max_epochs * n
+    visits = 0
+    while True:
+        if budget - visits - active < n:
+            # no full pass would fit after a shrunk one: make this the full one
+            active, threshold = n, math.inf
+        full = active == n
+        prefix = order[:active]
+        rng.shuffle(prefix)
+        kept: list[int] = []
+        shrunk: list[int] = []
+        keep = kept.append
+        max_violation = 0.0
+        for i in prefix:
+            idx, vals, y, u, q = rows[i]
+            if vals is None:
+                s = 0.0
+                for j in idx:
+                    s += w[j]
+            else:
+                s = 0.0
+                for j, v in zip(idx, vals):
+                    s += w[j] * v
+            g = y * s - 1.0
+            if g != g:
+                raise FloatingPointError("non-finite gradient during training")
+            a = alphas[i]
+            if a <= 0.0:
+                if g > threshold:
+                    shrunk.append(i)
+                    continue
+                pg = g if g < 0.0 else 0.0
+            elif a >= u:
+                if -g > threshold:
+                    shrunk.append(i)
+                    continue
+                pg = g if g > 0.0 else 0.0
+            else:
+                pg = g
+            keep(i)
+            if pg != 0.0:
+                apg = -pg if pg < 0.0 else pg
+                if apg > max_violation:
+                    max_violation = apg
+                if q > 0.0:
+                    new_a = a - g / q
+                else:
+                    # zero-norm row: any alpha leaves w unchanged, jump to the
+                    # bound the gradient points at so the violation clears
+                    new_a = u if g < 0.0 else 0.0
+                if new_a < 0.0:
+                    new_a = 0.0
+                elif new_a > u:
+                    new_a = u
+                if new_a != a:
+                    delta = (new_a - a) * y
+                    if vals is None:
+                        for j in idx:
+                            w[j] += delta
+                    else:
+                        for j, v in zip(idx, vals):
+                            w[j] += delta * v
+                    alphas[i] = new_a
+        visits += active
+        order[:active] = kept + shrunk
+        active, threshold = len(kept), max_violation
+        if max_violation < cfg.tolerance and not full:
+            active, threshold = n, math.inf  # confirm on every example
+            continue
+        at_cap = budget - visits < n
+        if max_violation < cfg.tolerance or at_cap:
+            violation = _reference_max_violation(rows, alphas, w)
+            if violation < cfg.tolerance or at_cap:
+                break
+
+    if not all(map(math.isfinite, w)):
+        raise FloatingPointError("training produced non-finite weights")
+    return DualSolution(tuple(w), tuple(alphas), -(-visits // n), violation)
 
 
 def reference_cross_validate(dataset: LabeledDataset, feature_count: int, cfg: TrainConfig,

@@ -544,6 +544,31 @@ def test_parse_sweep_values_rejects_non_finite_values(spec, axis):
         parse_sweep_values(spec, axis)
 
 
+@pytest.mark.parametrize("spec, axis, repeated", [
+    ("50,50", "feature_count", "50"),
+    ("100,50,100.0", "feature_count", "100"),
+    ("50..50.0000000001:0.00000000002", "feature_count", "50"),
+    ("0.5,0.5", "wi", "0.5"),
+    ("0.5..0.5000000001:0.00000000002", "wi", "0.5"),
+    ("0.6,0.7,0.6", "gamma_min", "0.6"),
+    ("0.5..0.5000000001:0.00000000002", "gamma_min", "0.5"),
+])
+def test_parse_sweep_values_refuses_a_repeated_value(spec, axis, repeated):
+    # a range repeats a value when its steps collide at 10-decimal rounding
+    with pytest.raises(ValueError, match=f"must be distinct: {re.escape(repeated)} is given"):
+        parse_sweep_values(spec, axis)
+
+
+def test_sweep_command_refuses_repeated_values_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    rc = main(["sweep", "--axis", "k", "--values", "50,50",
+               "--labeled", str(tmp_path / "missing.jsonl"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: sweep values must be distinct: 50 is given more than once")
+    assert not out.exists()
+
+
 def test_parse_sweep_values_caps_the_range_length():
     assert len(parse_sweep_values(f"0..{MAX_SWEEP_VALUES - 1}:1", "feature_count")) == (
         MAX_SWEEP_VALUES)

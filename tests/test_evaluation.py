@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset, peak_bytes, separable_dataset
 from oracles import reference_cross_validate
+from tcm_stance import evaluation
 from tcm_stance.evaluation import (
     METRICS_CSV_HEADER,
     Prediction,
@@ -133,6 +134,15 @@ def test_kfold_rejects_underfilled_classes():
         stratified_kfold(balanced_dataset(4, 2), 3, seed=0)
     with pytest.raises(ValueError):
         stratified_kfold(balanced_dataset(4, 4), 1, seed=0)
+
+
+@pytest.mark.parametrize("n_pos, n_neg", [(5, 5), (9, 6), (40, 17), (130, 260)])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 40])
+def test_kfold_deals_the_folds_the_library_shuffle_deals(n_pos, n_neg, seed, monkeypatch):
+    dataset = balanced_dataset(n_pos, n_neg)
+    splits = stratified_kfold(dataset, 5, seed)
+    monkeypatch.setattr(evaluation, "shuffle", lambda rng, x: rng.shuffle(x))
+    assert splits == stratified_kfold(dataset, 5, seed)
 
 
 @given(st.integers(2, 5), st.integers(5, 25), st.integers(5, 25), st.integers(0, 9))
@@ -412,6 +422,25 @@ def test_a_k_sweep_peaks_no_higher_than_one_cross_validation():
     cv_peak = peak_bytes(lambda: cross_validate(dataset, k_values[-1], cfg, k=5))
     sweep_peak = peak_bytes(lambda: sweep(dataset, "feature_count", k_values, cfg=cfg, k=5))
     assert sweep_peak <= 1.1 * cv_peak
+
+
+def test_k_values_past_the_vocabulary_share_one_fit_per_fold(monkeypatch):
+    dataset = noisy_dataset()
+    vocab = max(len(ranking) for _, _, ranking in _fold_plan(dataset, 1000, 4, 7, False))
+    values = [4, vocab + 1, 1000]
+    separate = [cross_validate(dataset, count, CV_CFG, k=4) for count in values]
+    calls = []
+    real_train = evaluation.train
+
+    def counting_train(data, cfg, n_features, **kwargs):
+        calls.append(n_features)
+        return real_train(data, cfg, n_features, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train", counting_train)
+    rows = sweep(dataset, "feature_count", values, cfg=CV_CFG, k=4)
+    assert len(calls) == 2 * 4  # K = 4, then one fit per fold for both larger values
+    assert [(v, report) for v, report in rows] == [(v, r.report) for v, r in zip(values, separate)]
+    assert [row.fits for row in rows] == [r.fits for r in separate]
 
 
 def test_sweep_validates_inputs():

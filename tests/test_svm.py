@@ -195,13 +195,13 @@ def shrinking_problem():
 
 def test_passes_shrink_and_the_last_one_visits_every_example(monkeypatch):
     lengths = []
-    shuffle = svm._shuffle
+    shuffle = svm.shuffle
 
     def recording_shuffle(rng, x):
         lengths.append(len(x))
         shuffle(rng, x)
 
-    monkeypatch.setattr(svm, "_shuffle", recording_shuffle)
+    monkeypatch.setattr(svm, "shuffle", recording_shuffle)
     data = shrinking_problem()
     for max_epochs in (1000, 4):
         lengths.clear()
@@ -222,7 +222,7 @@ def test_shuffle_draws_the_library_permutation_and_generator_state(seed):
         ours, library = random.Random(seed), random.Random(seed)
         x, y = list(range(n)), list(range(n))
         for _ in range(2):
-            svm._shuffle(ours, x)
+            svm.shuffle(ours, x)
             library.shuffle(y)
             assert x == y, n
         assert ours.getstate() == library.getstate(), n
@@ -230,7 +230,7 @@ def test_shuffle_draws_the_library_permutation_and_generator_state(seed):
 
 def solve_with_library_shuffle(data, cfg, n_features, *, fit_bias=True):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(svm, "_shuffle", lambda rng, x: rng.shuffle(x))
+        mp.setattr(svm, "shuffle", lambda rng, x: rng.shuffle(x))
         return solve_dual(data, cfg, n_features, fit_bias=fit_bias)
 
 
@@ -305,12 +305,45 @@ def test_an_out_of_range_index_in_a_repeated_vector_is_still_rejected(problem, d
         solve_dual(data, cfg, n_features, fit_bias=fit_bias)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(dual_problems(), repetitive_problems()),
+       st.one_of(st.none(), st.integers(1, 6)))
+def test_solver_is_bit_identical_to_the_reference_shrinking_loop(problem, max_epochs):
+    data, n_features, cfg, fit_bias = problem
+    if max_epochs is not None:
+        cfg = replace(cfg, max_epochs=max_epochs)
+    assert (solve_dual(data, cfg, n_features, fit_bias=fit_bias)
+            == oracles.reference_shrinking_solve_dual(data, cfg, n_features, fit_bias=fit_bias))
+
+
+def short_presence_rows():
+    """Presence rows shaped like the bigvocab folds: most carry 0, 1 or 2
+    columns, some 3, and every width appears under both labels."""
+    rng = random.Random(11)
+    data = []
+    for width in [0] * 45 + [1] * 36 + [2] * 15 + [3] * 4:
+        cols = tuple(sorted(rng.sample(range(8), width)))
+        data += [(SparseVector(cols), 1)] * rng.randint(1, 3) + [(SparseVector(cols), -1)]
+    rng.shuffle(data)
+    return data
+
+
+@pytest.mark.parametrize("fit_bias", [True, False])
+@pytest.mark.parametrize("max_epochs", [1, 3, 1000])
+def test_solver_is_bit_identical_to_the_reference_on_short_presence_rows(max_epochs, fit_bias):
+    data = short_presence_rows()
+    cfg = TrainConfig(C=1.0, wi=0.5, max_epochs=max_epochs, seed=2)
+    sol = solve_dual(data, cfg, 8, fit_bias=fit_bias)
+    assert sol == oracles.reference_shrinking_solve_dual(data, cfg, 8, fit_bias=fit_bias)
+    assert sol.epochs <= max_epochs
+
+
 def test_final_violation_adds_a_margin_as_the_pass_does():
     # left to right, 1e16 + 1.0 rounds back to 1e16, so the margin is 0.0;
     # sum() from Python 3.12 on compensates and would make it 1.0
     w = [1e16, 1.0, -1e16]
     assert w[0] + w[1] + w[2] == 0.0
-    row = ([0, 1, 2], None, 1.0, 1.0, 3)
+    row = (2, [0, 1], None, 1.0, 1.0, 3)  # presence columns 0 and 1, then the bias
     assert svm._max_violation([row], [0.0], w) == 1.0   # |y * 0.0 - 1.0|
 
 
