@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 TEXT_CLAMP = 280            # repost commentary can double the 140-char post limit
 MAX_CHAIN_DEPTH = 16
@@ -30,10 +30,11 @@ _TSV_BREAKERS = frozenset("\t\r\n")
 # json.loads joins escaped surrogate pairs, so a surrogate left in a str is
 # a lone one, which no UTF-8 output can hold
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# the C scanner behind json.loads, configured as json.loads configures it
+_SCAN = json.JSONDecoder().scan_once
 
 
-@dataclass(frozen=True)
-class Tweet:
+class Tweet(NamedTuple):
     """One flattened post; reposted entries get ids suffixed ``base#k``."""
 
     id: str
@@ -46,6 +47,19 @@ class Tweet:
 class UserProfile:
     user_id: str
     tags: tuple[str, ...] = ()
+
+
+def decode_line(text: str) -> object:
+    """``json.loads(text)`` by a shorter path for the common line: the
+    scanner's value is kept only when it spans the whole string.  Anything
+    else (whitespace around the value, a BOM, extra data, a scanner error)
+    goes to ``json.loads``, so every result and every error is the standard
+    library's.  A RecursionError propagates from either call alike."""
+    try:
+        obj, end = _SCAN(text, 0)
+    except (StopIteration, ValueError):
+        return json.loads(text)
+    return obj if end == len(text) else json.loads(text)
 
 
 def parse_timestamp(value: object) -> datetime:
@@ -122,7 +136,7 @@ def _ingest(path: str | Path, parse: Callable[[object], object]) -> tuple[list, 
             try:
                 text = line.decode("utf-8").strip()
                 if text:
-                    records.append(parse(json.loads(text)))
+                    records.append(parse(decode_line(text)))
             except (ValueError, TypeError, RecursionError):
                 skipped += 1
     return records, skipped

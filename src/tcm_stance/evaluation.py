@@ -344,11 +344,15 @@ METRICS_CSV_HEADER = ["axis_value", "class", "precision", "recall", "f1", "micro
 
 
 def format_axis_value(value: float | int | str) -> str:
+    """An integral value as an int; any other float in ``:g`` form when that
+    reads back as the same float, else as ``repr``, so that distinct sweep
+    values never share a label."""
     if isinstance(value, str):
         return value
     if isinstance(value, int) or float(value).is_integer():
         return str(int(value))
-    return f"{value:g}"
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 def metrics_csv_rows(rows: Iterable[tuple[float | int | str, MetricsReport]]) -> list[list[str]]:

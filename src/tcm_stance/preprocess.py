@@ -4,17 +4,15 @@ segmentation, stopword removal and advertisement filtering."""
 from __future__ import annotations
 
 import functools
-import json
 import re
 import unicodedata
-from dataclasses import dataclass
 from datetime import datetime
 from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .corpus import Tweet, check_id, format_timestamp, parse_timestamp
+from .corpus import Tweet, check_id, decode_line, format_timestamp, parse_timestamp
 from .resources import Resources, TermList, located
 from .stance import Stance
 
@@ -28,8 +26,7 @@ _PLATFORM_MARKERS = ("转发微博", "回复")
 _WS_RE = re.compile(r"\s+")
 
 
-@dataclass(frozen=True, slots=True)
-class Document:
+class Document(NamedTuple):
     """A preprocessed tweet: token sequence plus carry-through identifiers."""
 
     tweet_id: str
@@ -39,10 +36,10 @@ class Document:
     label: Optional[Stance] = None
 
 
-def to_simplified(text: str, table: Mapping[int, str]) -> str:
-    """Map characters through a ``str.maketrans`` table of the char map
-    (``Resources.simplify_table``)."""
-    return text.translate(table)
+def to_simplified(text: str, simplify: Callable[[str], str]) -> str:
+    """Replace each character of ``text`` that the char map holds, through
+    the substitution derived from it (``Resources.simplify``)."""
+    return simplify(text)
 
 
 def strip_entities(text: str) -> str:
@@ -106,7 +103,7 @@ def is_advertisement(tokens: Iterable[str], adlist: TermList) -> bool:
 
 def preprocess_tweet(tweet: Tweet, resources: Resources) -> Optional[Document]:
     """Full pipeline for one tweet; None when filtered out (ad or empty)."""
-    text = to_simplified(tweet.text, resources.simplify_table)
+    text = to_simplified(tweet.text, resources.simplify)
     text = strip_entities(text)
     tokens = segment(text, resources.segment_lexicon)
     tokens = remove_stopwords(tokens, resources.stopwords)
@@ -155,13 +152,9 @@ def document_from_obj(obj: object, strings: SharedStrings) -> Document:
             or "" in tokens):
         raise ValueError("tokens must be a list of non-empty strings")
     label = obj.get("label")
-    return Document(
-        tweet_id=tweet_id,
-        user_id=strings[user_id],
-        created_at=parse_timestamp(obj.get("created_at")),
-        tokens=tuple(map(strings.__getitem__, tokens)),
-        label=None if label is None else Stance.from_wire(label),
-    )
+    return Document(tweet_id, strings[user_id], parse_timestamp(obj.get("created_at")),
+                    tuple(map(strings.__getitem__, tokens)),
+                    None if label is None else Stance.from_wire(label))
 
 
 def write_documents(path: str | Path, docs: Iterable[Document]) -> int:
@@ -184,12 +177,12 @@ def write_documents(path: str | Path, docs: Iterable[Document]) -> int:
 def iter_documents(path: str | Path) -> Iterator[Document]:
     """Stream the documents of a documents file; a bad record stops the
     stream with ``path:line``."""
-    # json.loads gives every occurrence its own str; one per distinct token
+    # decoding gives every occurrence its own str; one per distinct token
     # and user id holds a labeled set in about half the memory
     strings = SharedStrings()
     with located(path) as lines:
         for line in lines:
-            yield document_from_obj(json.loads(line), strings)
+            yield document_from_obj(decode_line(line), strings)
 
 
 def read_documents(path: str | Path) -> list[Document]:

@@ -9,11 +9,13 @@ larger files of the same format.
 
 from __future__ import annotations
 
+import re
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .stance import Stance
 
@@ -192,8 +194,10 @@ class Resources:
     ``segment_lexicon`` is the segmentation word list merged with the
     terminology, stopword and advertisement lists: multi-character entries of
     those lists can only be recognized downstream if the segmenter emits them
-    as whole tokens.  ``simplify_table`` is ``char_map`` as a
-    ``str.translate`` table, derived at construction.
+    as whole tokens.  ``simplify`` is ``char_map`` applied to a text,
+    derived at construction: one character class of the map's keys, so that
+    only the characters the map holds cost a lookup.  An empty map leaves a
+    text as it is.
     """
 
     char_map: CharMap
@@ -202,10 +206,17 @@ class Resources:
     ad_keywords: TermList
     terminology: TermList
     tag_lexicon: TagLexicon
-    simplify_table: dict[int, str] = field(init=False, repr=False, compare=False)
+    simplify: Callable[[str], str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "simplify_table", str.maketrans(self.char_map))
+        table = dict(self.char_map)
+        if any(len(key) != 1 for key in table):
+            raise ValueError("char map keys must be single characters")
+        simplify = str  # str() of a str is that str
+        if table:
+            keys = re.compile(f"[{''.join(map(re.escape, table))}]")
+            simplify = partial(keys.sub, lambda match: table[match[0]])
+        object.__setattr__(self, "simplify", simplify)
 
 
 def load_resources(paths: Mapping[str, str | Path] | None = None) -> Resources:

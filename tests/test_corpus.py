@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from datetime import datetime
 from itertools import zip_longest
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tcm_stance
 from tcm_stance.cli import main
 from tcm_stance.preprocess import read_documents
 from tcm_stance.stance import Stance
@@ -24,6 +27,7 @@ from tcm_stance.corpus import (
     TIMESTAMP_FORMAT,
     Tweet,
     UserProfile,
+    decode_line,
     dedupe_users,
     format_timestamp,
     load_tweets,
@@ -414,6 +418,64 @@ def test_json_nested_too_deep_to_parse_is_skipped_and_counted(tmp_path):
     assert [u.user_id for u in profiles] == ["u1", "u2"]
     assert skipped == 1
     assert main(["prep", "--tweets", str(tweets), "--out", str(tmp_path / "docs.jsonl")]) == 0
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+_JSON_TEXTS = st.builds(json.dumps, _JSON_VALUES, ensure_ascii=st.booleans())
+# one digit past the int-to-str limit (3.10.7+); without one, it still parses
+_TOO_MANY_DIGITS = "9" * (getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1)
+_AWKWARD_TEXTS = st.sampled_from([
+    "", "NaN", "-Infinity", "[Infinity,NaN]", "1 2", "{} {}", "[1]]", "{", '"abc', "tru",
+    "[1,]", "01", "1e999", "-0", "0.1e-400", '"\\ud800"', '"\\udc00x"', '"\\ud83d\\ude00"',
+    '{"a":"\\udfff"}', '"\\x"', "\x00",
+    _TOO_MANY_DIGITS,
+    "[" + _TOO_MANY_DIGITS + "]",
+    "[" * 200_000 + "]" * 200_000,
+    '{"a":' * 200_000,
+])
+# JSON whitespace, other Unicode whitespace, a BOM and nothing
+_PADDING = st.sampled_from(["", " ", "\t", "\r\n", "\n", "\u3000", "\ufeff", "\ufeff "])
+
+
+def _outcome(decode, text: str) -> tuple:
+    """repr of the value (so that NaN equals NaN and 1 differs from True),
+    or the type and message of the error."""
+    try:
+        return ("value", repr(decode(text)))
+    except (ValueError, RecursionError) as exc:
+        return (type(exc), str(exc))
+
+
+@given(_PADDING, st.lists(_JSON_TEXTS | _AWKWARD_TEXTS | st.text(max_size=8), min_size=1,
+                          max_size=2), _PADDING)
+@example(" ", ["{}"], "\t")
+@example("\ufeff", ["{}"], "")
+@example("", ["1", "2"], "")
+@example("", [_TOO_MANY_DIGITS], "")
+@example("", ["[" * 200_000], "")
+def test_decode_line_agrees_with_json_loads(before, values, after):
+    text = before + " ".join(values) + after
+    assert _outcome(decode_line, text) == _outcome(json.loads, text)
+
+
+def test_only_decode_line_calls_json_loads():
+    """Every JSON line the package reads goes through ``corpus.decode_line``."""
+    offenders = []
+    for source in sorted(Path(tcm_stance.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        allowed: set[int] = set()
+        if source.name == "corpus.py":
+            helper, = (node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "decode_line")
+            allowed = {id(node) for node in ast.walk(helper)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "loads"
+                    and id(node) not in allowed):
+                offenders.append(f"{source.name}:{node.lineno}")
+    assert offenders == []
 
 
 def _chain_line(root: str, uid: str, depth: int, text: str) -> bytes:

@@ -26,6 +26,7 @@ from tcm_stance.evaluation import (
     stratified_kfold,
     sweep,
 )
+from tcm_stance.cli import parse_sweep_values
 from tcm_stance.features import collect_stats, select_features
 from tcm_stance.stance import Stance
 from tcm_stance.supervision import LabeledDataset
@@ -406,7 +407,7 @@ def test_a_fold_plan_counts_each_document_twice(k):
             return super().__iter__()
 
     plain = noisy_dataset(n_docs=60)
-    docs = tuple(replace(d, tokens=CountedTokens(d.tokens)) for d in plain.documents)
+    docs = tuple(d._replace(tokens=CountedTokens(d.tokens)) for d in plain.documents)
     dataset = LabeledDataset(docs)
     _fold_plan(dataset, 8, k, 11, False)
     assert CountedTokens.iterations == 2 * len(docs)
@@ -478,3 +479,12 @@ def test_format_axis_value():
     assert format_axis_value(3000.0) == "3000"
     assert format_axis_value(7) == "7"
     assert format_axis_value("pre") == "pre"
+
+
+def test_distinct_sweep_values_print_distinct_axis_values():
+    """Six significant digits would print the three gamma values all as 0.5
+    and the two wi values both as 0.123457."""
+    gamma = parse_sweep_values("0.5..0.5000001:0.00000005", "gamma_min")
+    wi = parse_sweep_values("0.1234567,0.1234568", "wi")
+    assert [format_axis_value(v) for v in gamma] == ["0.5", "0.50000005", "0.5000001"]
+    assert [format_axis_value(v) for v in wi] == ["0.1234567", "0.1234568"]

@@ -45,14 +45,14 @@ cjk_text = st.text(alphabet="中医药爱好不信有效假骗abc，。", max_si
 
 
 def test_to_simplified_maps_only_known_chars():
-    cmap = {"醫": "医", "藥": "药"}
-    assert to_simplified("中醫藥x", str.maketrans(cmap)) == "中医药x"
-    assert to_simplified("", str.maketrans(cmap)) == ""
-    assert to_simplified("abc", str.maketrans(cmap)) == "abc"
+    simplify = make_resources(char_map={"醫": "医", "藥": "药"}).simplify
+    assert to_simplified("中醫藥x", simplify) == "中医药x"
+    assert to_simplified("", simplify) == ""
+    assert to_simplified("abc", simplify) == "abc"
 
 
 def test_to_simplified_with_bundled_map(default_resources):
-    assert to_simplified("中醫很好", str.maketrans(default_resources.char_map)) == "中医很好"
+    assert to_simplified("中醫很好", default_resources.simplify) == "中医很好"
 
 
 # CJK (traditional and simplified), ASCII, punctuation, symbols, whitespace
@@ -65,16 +65,30 @@ char_maps = st.dictionaries(st.one_of(mixed_chars, st.characters()),
 
 @given(mixed_text, char_maps)
 def test_to_simplified_matches_the_map_lookup_reference(text, cmap):
-    assert to_simplified(text, str.maketrans(cmap)) == reference_to_simplified(text, cmap)
     resources = make_resources(char_map=cmap)
-    assert to_simplified(text, resources.simplify_table) == reference_to_simplified(text, cmap)
+    assert to_simplified(text, resources.simplify) == reference_to_simplified(text, cmap)
 
 
-def test_simplify_table_is_rebuilt_with_the_char_map():
+@pytest.mark.parametrize("cmap", [
+    {"]": "1", "[": "2", "\\": "3", "^": "4", "-": "5"},
+    {"^": "1", "a": "2"},                # "^" first would negate the class
+    {"a": "1", "-": "2", "z": "3"},      # "a-z" would be a range
+    {"😀": "笑"},                        # outside the BMP
+    {"醫": "醫", "藥": "药"},            # a key mapped to itself
+    {},
+], ids=["brackets-backslash-caret-dash", "caret-first", "dash-between", "non-bmp",
+        "identity", "empty"])
+def test_to_simplified_takes_every_key_literally(cmap):
+    text = "a]b[c\\d^e-f😀醫藥z-a^ 中医"
+    simplify = make_resources(char_map=cmap).simplify
+    assert to_simplified(text, simplify) == reference_to_simplified(text, cmap)
+
+
+def test_simplify_is_rebuilt_with_the_char_map():
     resources = make_resources(char_map={"醫": "医"})
-    assert to_simplified("醫藥", resources.simplify_table) == "医藥"
+    assert to_simplified("醫藥", resources.simplify) == "医藥"
     swapped = replace(resources, char_map={"藥": "药"})
-    assert to_simplified("醫藥", swapped.simplify_table) == "醫药"
+    assert to_simplified("醫藥", swapped.simplify) == "醫药"
 
 
 STOPWORDS = ["的", "了", "没有", "，", "a"]
@@ -347,8 +361,8 @@ def test_write_documents_returns_how_many_it_wrote(tmp_path):
 
 @pytest.mark.parametrize("field", ["tweet_id", "user_id", "tokens"])
 def test_both_document_writers_refuse_a_lone_surrogate(tmp_path, field):
-    doc = replace(make_doc("t1", "u1", ("中医",)),
-                  **{field: ("中医", "a\ud800") if field == "tokens" else "a\ud800"})
+    doc = make_doc("t1", "u1", ("中医",))._replace(
+        **{field: ("中医", "a\ud800") if field == "tokens" else "a\ud800"})
     for writer in (write_documents, reference_write_documents):
         with pytest.raises(UnicodeEncodeError):
             writer(tmp_path / "docs.jsonl", [doc])
@@ -359,6 +373,10 @@ def test_a_document_carries_no_instance_dict():
     assert not hasattr(doc, "__dict__")
     with pytest.raises(AttributeError):
         doc.tokens = ()
+    tweet = Tweet("t1", "u1", "中医", TS)
+    assert not hasattr(tweet, "__dict__")
+    with pytest.raises(AttributeError):
+        tweet.text = ""
 
 
 def test_read_documents_holds_a_small_vocabulary_once(tmp_path):

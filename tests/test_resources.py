@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_resources
 from oracles import reference_union
 
 import tcm_stance
@@ -145,6 +146,12 @@ def test_load_char_map_rejects_multi_char_cells(tmp_path):
     path.write_text("醫藥\t医\n", encoding="utf-8")
     with pytest.raises(ResourceFormatError, match="single characters"):
         load_char_map(path)
+
+
+@pytest.mark.parametrize("key", ["醫藥", ""])
+def test_resources_refuse_a_char_map_key_that_is_not_one_character(key):
+    with pytest.raises(ValueError, match="single characters"):
+        make_resources(char_map={key: "医"})
 
 
 def test_load_char_map_conflict_is_fatal(tmp_path):
