@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
+import hashlib
 import json
 import os
 import re
@@ -487,6 +488,12 @@ def test_report_commands_echo_the_csv_and_write_a_chart_only_when_asked(
             ET.fromstring(chart.read_text(encoding="utf-8"))
 
 
+# "<sha256>  <path>" per artifact of the test below, as `sha256sum` writes
+# them in its first output directory.  A change that alters an artifact on
+# purpose rewrites this file in the same commit.
+EXPERIMENT_DIGESTS = Path(__file__).resolve().parent / "golden" / "experiment.sha256"
+
+
 def test_experiment_output_does_not_depend_on_the_hash_seed(tmp_path):
     """Two processes with different string hashing (so different set and
     hash orders) write identical artifacts: the experiment's, and those of
@@ -520,6 +527,13 @@ def test_experiment_output_does_not_depend_on_the_hash_seed(tmp_path):
     assert sorted(first) == sorted(second)
     assert len(first) == 16
     assert [name for name in sorted(first) if first[name] != second[name]] == []
+    # and both equal the committed digests, so a change that moves every run
+    # alike fails too
+    golden = dict(reversed(line.split("  ", 1)) for line in
+                  EXPERIMENT_DIGESTS.read_text(encoding="utf-8").splitlines())
+    assert sorted(golden) == sorted(first)
+    assert [name for name in sorted(first)
+            if hashlib.sha256(first[name]).hexdigest() != golden[name]] == []
 
 
 def test_parse_sweep_values():

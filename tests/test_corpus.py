@@ -8,7 +8,7 @@ import io
 import json
 import sys
 import tempfile
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from itertools import zip_longest
 from pathlib import Path
 
@@ -117,6 +117,23 @@ def test_canonical_timestamps_round_trip_for_every_year(value):
     assert format_timestamp(value) == text
     assert parse_timestamp(text) == value
     assert format_timestamp(parse_timestamp(text)) == text
+
+
+_NAIVE_DATETIMES = st.datetimes(min_value=datetime(1, 1, 1),
+                                max_value=datetime(9999, 12, 31, 23, 59, 59, 999999))
+# fixed UTC offsets, including ones with seconds and microseconds
+_OFFSETS = st.timedeltas(min_value=timedelta(hours=-23, minutes=-59, seconds=-59),
+                         max_value=timedelta(hours=23, minutes=59, seconds=59))
+
+
+@given(value=st.one_of(_NAIVE_DATETIMES, _NAIVE_DATETIMES.map(lambda v: v.replace(microsecond=0))),
+       offset=st.none() | _OFFSETS)
+@example(value=datetime(2013, 5, 17, 12, 0, 0), offset=timedelta(hours=5, minutes=30, seconds=7))
+@example(value=datetime(999, 1, 1, 0, 0, 0, 1), offset=-timedelta(seconds=1, microseconds=5))
+def test_format_timestamp_is_isoformat_to_the_second(value, offset):
+    if offset is not None:
+        value = value.replace(tzinfo=timezone(offset))
+    assert format_timestamp(value) == value.isoformat(timespec="seconds")
 
 
 @pytest.mark.parametrize("bad", [123, None, ["2013-05-17T12:00:00"]])

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import random
 import tempfile
 from datetime import datetime, timedelta
@@ -19,7 +20,7 @@ from oracles import reference_adjust, reference_predict, reference_read_predicti
 from tcm_stance import reports
 from tcm_stance.cli import main
 from tcm_stance.features import FeatureSet, SelectedTerm, save_feature_set
-from tcm_stance.preprocess import write_documents
+from tcm_stance.preprocess import read_documents, write_documents
 from tcm_stance.stance import Stance
 from tcm_stance.svm import Model, TrainMeta, save_model
 
@@ -98,6 +99,26 @@ def test_predict_refuses_as_the_reference_does_and_writes_nothing(tmp_path, caps
         assert "docs.jsonl:3: " in str(refused.value)
     assert not (tmp_path / "new.tsv").exists()
     assert not (tmp_path / "ref.tsv").exists()
+
+
+# JSON texts of a "tokens" value: not a list, non-string tokens (hashable
+# and not), and an empty token
+@pytest.mark.parametrize("tokens", ['"x"', "[1]", "[null]", "[true]", '[""]', '[["x"]]', "[{}]"])
+def test_a_malformed_token_list_is_refused_with_its_line(tmp_path, capsys, tokens):
+    _write_model(tmp_path, _VOCAB, [0.5, -0.25, 1.0, -1.0, 0.125])
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"tweet_id":"t1","user_id":"u1","created_at":"2013-05-17T12:00:00",'
+                    f'"tokens":{tokens}}}\n'
+                    + json.dumps({"tweet_id": "t2", "user_id": "u1",
+                                  "created_at": "2013-05-17T12:00:00", "tokens": ["中医"]}) + "\n",
+                    encoding="utf-8")
+    message = f"{docs}:1: tokens must be a list of non-empty strings"
+    with pytest.raises(ValueError) as refused:
+        read_documents(docs)
+    assert str(refused.value) == message
+    assert _predict(tmp_path, "preds.tsv") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "preds.tsv").exists()
 
 
 def test_predict_holds_one_output_line_per_document(tmp_path):
