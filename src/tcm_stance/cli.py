@@ -44,7 +44,13 @@ from .features import (
     select_features,
     vectorize,
 )
-from .preprocess import iter_documents, preprocess_tweet, read_documents, write_documents
+from .preprocess import (
+    document_fields,
+    iter_documents,
+    preprocess_tweet,
+    read_documents,
+    write_documents,
+)
 from .resources import located
 from .stance import Stance
 from .supervision import LabeledDataset, filter_topic, label_corpus
@@ -309,12 +315,12 @@ def cmd_predict(args: argparse.Namespace) -> None:
     # refused document leaves no output file
     out = bytearray()
     n_docs = n_support = 0
-    for doc in iter_documents(args.docs):
-        stance, margin = svm.score(weights, presence_columns(doc.tokens, index))
+    # each record is checked as a Document is, but only its fields are kept
+    for tweet_id, user_id, created_at, tokens, _ in iter_documents(args.docs, document_fields):
+        stance, margin = svm.score(weights, presence_columns(tokens, index))
         n_docs += 1
         n_support += stance is Stance.SUPPORTING
-        out += _prediction_line(doc.tweet_id, doc.user_id, doc.created_at, stance,
-                                margin).encode("utf-8")
+        out += _prediction_line(tweet_id, user_id, created_at, stance, margin).encode("utf-8")
     args.out.write_bytes(out)
     _info(
         f"predict: {n_docs} documents, {n_support} support / "

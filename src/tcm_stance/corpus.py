@@ -74,8 +74,11 @@ def parse_timestamp(value: object) -> datetime:
 
 
 def format_timestamp(value: datetime) -> str:
-    """Zero-padded ``YYYY-MM-DDTHH:MM:SS``, four-digit year included."""
-    return value.isoformat(timespec="seconds")
+    """Zero-padded ``YYYY-MM-DDTHH:MM:SS``, four-digit year included, plus
+    the UTC offset of an aware value: ``isoformat(timespec="seconds")``.
+    Without microseconds a bare ``isoformat()`` gives the same text and
+    skips parsing a keyword."""
+    return value.isoformat(timespec="seconds") if value.microsecond else value.isoformat()
 
 
 def unsafe_id(value: str) -> bool:

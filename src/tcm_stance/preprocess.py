@@ -3,14 +3,11 @@ segmentation, stopword removal and advertisement filtering."""
 
 from __future__ import annotations
 
-import functools
 import re
-import unicodedata
 from datetime import datetime
-from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from .corpus import Tweet, check_id, decode_line, format_timestamp, parse_timestamp
 from .resources import Resources, TermList, located
@@ -82,19 +79,11 @@ def segment(text: str, lexicon: TermList) -> list[str]:
     return tokens
 
 
-# Memoised, since the answer depends on the token string alone.  Segmenter
-# output is lexicon entries and single characters, so the working set is at
-# most the segmentation lexicon plus the input's distinct characters;
-# maxsize caps the cache for any other caller.
-@functools.lru_cache(maxsize=1 << 16)
-def _is_noise_token(token: str) -> bool:
-    # pure punctuation/symbols or pure whitespace (incl. control chars)
-    return all(unicodedata.category(ch)[0] in "PSZC" for ch in token)
-
-
 def remove_stopwords(tokens: Iterable[str], stoplist: TermList) -> list[str]:
-    stopwords = stoplist.members
-    return [t for t in tokens if not (t in stopwords or _is_noise_token(t))]
+    """The tokens, in order, that are neither terms of ``stoplist`` nor
+    noise (``resources.is_noise_token``); each distinct token is judged once
+    per stop list (``TermList.kept``)."""
+    return list(filter(stoplist.kept.__getitem__, tokens))
 
 
 def is_advertisement(tokens: Iterable[str], adlist: TermList) -> bool:
@@ -128,33 +117,52 @@ class _Literals(dict):
         return literal
 
 
+_BAD_TOKENS = "tokens must be a list of non-empty strings"
+
+
 class SharedStrings(dict):
     """str -> the first equal str looked up, so that documents read together
-    share one string per distinct token and user id.  A string is checked
-    with the id rule (``check_id``) the first time it is looked up: a token
-    that holds a tab, CR, LF or lone surrogate could not be written to a
-    feature or predictions TSV."""
+    share one string per distinct token and user id.  A key is checked the
+    first time it is looked up, so each distinct token is checked once: one
+    that is not a non-empty string is refused, and a string must pass the id
+    rule (``check_id``), since a token that holds a tab, CR, LF or lone
+    surrogate could not be written to a feature or predictions TSV.  Only
+    checked strings are stored, so a lookup of anything else always reaches
+    the check; an unhashable key raises TypeError before it."""
 
-    def __missing__(self, text: str) -> str:
+    def __missing__(self, text: object) -> str:
+        if not isinstance(text, str) or not text:
+            raise ValueError(_BAD_TOKENS)
         self[text] = check_id("token", text)
         return text
 
 
-def document_from_obj(obj: object, strings: SharedStrings) -> Document:
-    """Check one decoded record and build its Document.  The user id and
-    each token become their shared string in ``strings``."""
+DocumentFields = tuple[str, str, datetime, tuple[str, ...], Optional[Stance]]
+
+
+def document_fields(obj: object, strings: SharedStrings) -> DocumentFields:
+    """Check one decoded record and return its fields in ``Document``'s
+    order.  The user id and each token become their shared string in
+    ``strings``, which checks each distinct token."""
     if not isinstance(obj, dict):
         raise ValueError("document record must be a JSON object")
     tweet_id = check_id("tweet_id", obj.get("tweet_id"))
     user_id = check_id("user_id", obj.get("user_id"))
     tokens = obj.get("tokens")
-    if (not isinstance(tokens, list) or not all(map(isinstance, tokens, repeat(str)))
-            or "" in tokens):
-        raise ValueError("tokens must be a list of non-empty strings")
+    if not isinstance(tokens, list):
+        raise ValueError(_BAD_TOKENS)
+    try:
+        tokens = tuple(map(strings.__getitem__, tokens))
+    except TypeError:  # an unhashable token: a list or an object
+        raise ValueError(_BAD_TOKENS) from None
     label = obj.get("label")
-    return Document(tweet_id, strings[user_id], parse_timestamp(obj.get("created_at")),
-                    tuple(map(strings.__getitem__, tokens)),
-                    None if label is None else Stance.from_wire(label))
+    return (tweet_id, strings[user_id], parse_timestamp(obj.get("created_at")), tokens,
+            None if label is None else Stance.from_wire(label))
+
+
+def document_from_obj(obj: object, strings: SharedStrings) -> Document:
+    """The Document of one decoded record, checked by ``document_fields``."""
+    return Document._make(document_fields(obj, strings))
 
 
 def write_documents(path: str | Path, docs: Iterable[Document]) -> int:
@@ -174,15 +182,21 @@ def write_documents(path: str | Path, docs: Iterable[Document]) -> int:
     return count
 
 
-def iter_documents(path: str | Path) -> Iterator[Document]:
-    """Stream the documents of a documents file; a bad record stops the
-    stream with ``path:line``."""
+_Record = TypeVar("_Record")
+
+
+def iter_documents(path: str | Path,
+                   record: Callable[[object, SharedStrings], _Record] = document_from_obj,
+                   ) -> Iterator[_Record]:
+    """Stream the documents of a documents file, each built by ``record``
+    from its decoded object (``document_fields`` gives the checked fields
+    without a Document); a bad record stops the stream with ``path:line``."""
     # decoding gives every occurrence its own str; one per distinct token
     # and user id holds a labeled set in about half the memory
     strings = SharedStrings()
     with located(path) as lines:
         for line in lines:
-            yield document_from_obj(decode_line(line), strings)
+            yield record(decode_line(line), strings)
 
 
 def read_documents(path: str | Path) -> list[Document]:

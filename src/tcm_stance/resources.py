@@ -10,6 +10,7 @@ larger files of the same format.
 from __future__ import annotations
 
 import re
+import unicodedata
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from functools import partial
@@ -22,6 +23,34 @@ from .stance import Stance
 
 class ResourceFormatError(ValueError):
     pass
+
+
+# the most tokens a TermList's keep map holds, as the lru_cache it replaced
+# did; a token past that is judged on every lookup
+KEPT_SIZE = 1 << 16
+
+
+def is_noise_token(token: str) -> bool:
+    """True when every character is punctuation, a symbol, a separator
+    (whitespace included) or a control character: a token that a stopword
+    filter drops whatever its list."""
+    return all(unicodedata.category(ch)[0] in "PSZC" for ch in token)
+
+
+class _Kept(dict):
+    """token -> False when a stopword filter over ``members`` drops it (a
+    member or a noise token), else True; filled the first time a token is
+    looked up, up to KEPT_SIZE tokens."""
+
+    def __init__(self, members: frozenset[str]) -> None:
+        super().__init__()
+        self.members = members
+
+    def __missing__(self, token: str) -> bool:
+        keep = not (token in self.members or is_noise_token(token))
+        if len(self) < KEPT_SIZE:
+            self[token] = keep
+        return keep
 
 
 @dataclass(frozen=True)
@@ -45,6 +74,7 @@ class TermList:
             if len(term) > 1:
                 lengths.setdefault(term[0], set()).add(len(term))
         object.__setattr__(self, "_index", frozenset(self.terms))
+        object.__setattr__(self, "_kept", _Kept(self._index))  # type: ignore[attr-defined]
         object.__setattr__(self, "_lengths", {
             first: tuple(sorted(sizes, reverse=True)) for first, sizes in lengths.items()})
 
@@ -66,6 +96,13 @@ class TermList:
         """The terms as a frozenset, for membership tests in hot loops
         without a Python-level ``__contains__`` call per test."""
         return self._index  # type: ignore[attr-defined]
+
+    @property
+    def kept(self) -> Mapping[str, bool]:
+        """token -> whether a stopword filter over this list keeps it: False
+        for a term or an ``is_noise_token``, True otherwise.  Each distinct
+        token is judged once and remembered with the list."""
+        return self._kept  # type: ignore[attr-defined]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.terms)

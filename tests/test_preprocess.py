@@ -22,11 +22,11 @@ from oracles import (
     reference_to_simplified,
     reference_write_documents,
 )
+from tcm_stance import resources
 from tcm_stance.corpus import Tweet
 from tcm_stance.preprocess import (
     MAX_MATCH,
     Document,
-    _is_noise_token,
     is_advertisement,
     preprocess_tweet,
     read_documents,
@@ -37,7 +37,7 @@ from tcm_stance.preprocess import (
     to_simplified,
     write_documents,
 )
-from tcm_stance.resources import TermList
+from tcm_stance.resources import TermList, is_noise_token
 from tcm_stance.stance import Stance
 from tcm_stance.supervision import MIN_TOPIC_TERMS, is_tcm_topic
 
@@ -100,7 +100,7 @@ tokens_lists = st.lists(
 @given(tokens_lists)
 def test_remove_stopwords_matches_the_reference(tokens):
     stop = TermList.of(STOPWORDS)
-    assert [_is_noise_token(t) for t in tokens] == [reference_is_noise_token(t) for t in tokens]
+    assert [is_noise_token(t) for t in tokens] == [reference_is_noise_token(t) for t in tokens]
     assert remove_stopwords(tokens, stop) == reference_remove_stopwords(tokens, stop)
 
 
@@ -261,6 +261,22 @@ def test_remove_stopwords_drops_noise_tokens():
     stop = TermList.of(["的"])
     tokens = ["中医", "的", "，", "。", " ", "好", "a1"]
     assert remove_stopwords(tokens, stop) == ["中医", "好", "a1"]
+
+
+def test_remove_stopwords_judges_each_distinct_token_once_per_list(monkeypatch):
+    judged = []
+    monkeypatch.setattr(resources, "is_noise_token",
+                        lambda token: judged.append(token) or reference_is_noise_token(token))
+    monkeypatch.setattr(resources, "KEPT_SIZE", 3)
+    stop = TermList.of(["的"])
+    tokens = ["中医", "的", "，", "中医", "好", "x", "好"]
+    for _ in range(2):
+        assert remove_stopwords(tokens, stop) == reference_remove_stopwords(tokens, stop)
+    # a stopword is not judged as noise, and the first three tokens seen are
+    # held; tokens past the cap are judged on every lookup
+    assert dict(stop.kept) == {"中医": True, "的": False, "，": False}
+    assert judged == ["中医", "，"] + ["好", "x", "好"] * 2
+    assert TermList.of(["的"]).kept == {}
 
 
 def test_is_advertisement():
