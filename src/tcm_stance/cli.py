@@ -123,14 +123,18 @@ def write_predictions_tsv(path: Path, rows: Iterable[PredictionRow]) -> None:
 
 def iter_predictions_tsv(path: Path) -> Iterator[PredictionRow]:
     """Stream the rows of a predictions TSV; a bad line (the ids follow the
-    documents file's rule) stops the stream with ``path:line``."""
+    documents file's rule, and the margin is finite) stops the stream with
+    ``path:line``."""
     with located(path) as lines:
         for line in lines:
             parts = line.split("\t")
             if len(parts) != 5:
                 raise ValueError("expected 5 tab-separated fields")
-            yield (check_id("tweet_id", parts[0]), check_id("user_id", parts[1]),
+            row = (check_id("tweet_id", parts[0]), check_id("user_id", parts[1]),
                    parse_timestamp(parts[2]), Stance.from_wire(parts[3]), float(parts[4]))
+            if not math.isfinite(row[4]):
+                raise ValueError("margin must be a finite number")
+            yield row
 
 
 def read_predictions_tsv(path: Path) -> list[PredictionRow]:

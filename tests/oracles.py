@@ -509,6 +509,8 @@ def reference_read_predictions(path) -> list[tuple]:
             try:
                 rows.append((parts[0], parts[1], parse_timestamp(parts[2]),
                              Stance.from_wire(parts[3]), float(parts[4])))
+                if not math.isfinite(rows[-1][4]):
+                    raise ValueError("margin must be a finite number")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return rows

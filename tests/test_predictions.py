@@ -139,9 +139,10 @@ def test_predict_holds_one_output_line_per_document(tmp_path):
 
 
 _USERS = ("u1", "u2", "u3")
+# finite margins only: a non-finite one is refused (tested below)
 _MARGIN_TEXTS = st.one_of(
-    st.sampled_from(["1e-7", "-0", "-1e-7", "0.5", "-2.25", "3", "0.0000005", "inf"]),
-    st.floats(allow_nan=False).map(repr),
+    st.sampled_from(["1e-7", "-0", "-1e-7", "0.5", "-2.25", "3", "0.0000005", "1e308"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
 )
 _ROWS = st.lists(st.tuples(
     st.sampled_from(_USERS),
@@ -227,4 +228,19 @@ def test_a_bad_predictions_line_is_refused_with_no_output(tmp_path, capsys, comm
     assert main([command, "--predictions", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {refused.value}\n"
     assert str(refused.value) == f"{path}:3: expected 5 tab-separated fields"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["adjust", "report-timeseries"])
+@pytest.mark.parametrize("margin", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+def test_a_non_finite_margin_is_refused_with_no_output(tmp_path, capsys, command, margin):
+    path = tmp_path / "preds.tsv"
+    _write_predictions(path, [("u1", Stance.SUPPORTING, datetime(2013, 1, 2), True, "0.5"),
+                              ("u1", Stance.OPPOSING, datetime(2013, 1, 3), True, margin)])
+    with pytest.raises(ValueError) as refused:
+        reference_read_predictions(path)
+    assert str(refused.value) == f"{path}:2: margin must be a finite number"
+    capsys.readouterr()
+    assert main([command, "--predictions", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
     assert not (tmp_path / "out").exists()
