@@ -25,8 +25,8 @@ class ResourceFormatError(ValueError):
     pass
 
 
-# the most tokens a TermList's keep map holds, as the lru_cache it replaced
-# did; a token past that is judged on every lookup
+# the most tokens a TermList's keep map holds, which bounds its memory
+# whatever the input; a token past that is judged on every lookup
 KEPT_SIZE = 1 << 16
 
 
