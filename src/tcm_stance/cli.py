@@ -16,7 +16,7 @@ from dataclasses import fields
 from datetime import datetime
 from itertools import starmap
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import evaluation, reports, svm, synth
 from .config import (
@@ -106,9 +106,14 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# predictions TSV: tweet_id, user_id, created_at, stance, margin
+# predictions TSV: one PredictionRow per line
 
-PredictionRow = tuple[str, str, datetime, Stance, float]
+class PredictionRow(NamedTuple):
+    tweet_id: str
+    user_id: str
+    created_at: datetime
+    stance: Stance
+    margin: float
 
 
 def _prediction_line(tweet_id: str, user_id: str, created_at: datetime, stance: Stance,
@@ -130,9 +135,10 @@ def iter_predictions_tsv(path: Path) -> Iterator[PredictionRow]:
             parts = line.split("\t")
             if len(parts) != 5:
                 raise ValueError("expected 5 tab-separated fields")
-            row = (check_id("tweet_id", parts[0]), check_id("user_id", parts[1]),
-                   parse_timestamp(parts[2]), Stance.from_wire(parts[3]), float(parts[4]))
-            if not math.isfinite(row[4]):
+            row = PredictionRow(check_id("tweet_id", parts[0]), check_id("user_id", parts[1]),
+                                parse_timestamp(parts[2]), Stance.from_wire(parts[3]),
+                                float(parts[4]))
+            if not math.isfinite(row.margin):
                 raise ValueError("margin must be a finite number")
             yield row
 
@@ -335,11 +341,9 @@ def cmd_predict(args: argparse.Namespace) -> None:
 def cmd_adjust(args: argparse.Namespace) -> None:
     cfg = _resolve_config(args)
     rows = read_predictions_tsv(args.predictions)
-    majority = evaluation.majorities(((row[1], row[3]) for row in rows), cfg.gamma_min)
-    write_predictions_tsv(args.out, (
-        (tweet_id, user_id, created_at, majority.get(user_id, stance), margin)
-        for tweet_id, user_id, created_at, stance, margin in rows))
-    changed = sum(1 for row in rows if majority.get(row[1], row[3]) is not row[3])
+    adjusted = evaluation.adjust(rows, cfg.gamma_min)
+    write_predictions_tsv(args.out, adjusted)
+    changed = sum(1 for row, out in zip(rows, adjusted) if out is not row)
     _info(
         f"adjust: gamma_min {cfg.gamma_min:g}, {changed} of {len(rows)} predictions "
         f"flipped to the author majority -> {args.out}"
@@ -348,7 +352,7 @@ def cmd_adjust(args: argparse.Namespace) -> None:
 
 def cmd_report_timeseries(args: argparse.Namespace) -> None:
     rows = iter_predictions_tsv(args.predictions)
-    buckets = reports.timeseries(((created_at, stance) for _, _, created_at, stance, _ in rows),
+    buckets = reports.timeseries(((row.created_at, row.stance) for row in rows),
                                  args.granularity)
     _write_report(args, reports.timeseries_csv_rows(buckets),
                   lambda: reports.timeseries_chart(buckets, args.granularity))

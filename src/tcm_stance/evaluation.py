@@ -9,10 +9,10 @@ test fold's.  Cross-validation and the sweeps also share one fold-major loop
 over (K, training config) settings: each fold vectorizes its documents once,
 from each document's distinct terms, and fits every setting in turn, equal
 vectors sharing one SparseVector and so one solver row.  A setting keeps only
-its predicted stances and fits; predictions and reports are built after the
-loop.  The pooled out-of-fold predictions are kept so the per-user adjustment
-is scored on exactly them.  Every row and fit equals what a fresh
-cross-validation per setting gives.
+its predicted stances and fits.  After the loop ``_results``, the one result
+builder, scores each setting's pooled out-of-fold predictions with
+``score_predictions``, one setting at a time, and keeps them for ``adjust``.
+Every row and fit equals what a fresh cross-validation per setting gives.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .features import (
     DEFAULT_FEATURE_COUNT,
@@ -29,7 +29,6 @@ from .features import (
     fold_rankings,
     presence_columns,
 )
-from .preprocess import Document
 from .stance import Stance
 from .supervision import LabeledDataset
 from .svm import TrainConfig, TrainMeta, score, shuffle, train
@@ -113,8 +112,7 @@ def stratified_kfold(
     return splits
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     user_id: str
     tweet_id: str
     stance: Stance
@@ -208,10 +206,22 @@ def _run_plan(
     return [(pooled, tuple(meta)) for pooled, meta in zip(stances, fits)]
 
 
-def _pooled_docs(dataset: LabeledDataset, plan: list[_Fold]) -> list[Document]:
-    """The test documents in the order ``_run_plan`` pools their stances."""
-    docs = dataset.documents
-    return [docs[i] for _, test_idx, _ in plan for i in test_idx]
+def score_predictions(predictions: Iterable[Prediction],
+                      golds: dict[str, Stance]) -> MetricsReport:
+    """Metrics of predictions against the gold labels, by tweet_id."""
+    return compute_metrics([(golds[p.tweet_id], p.stance) for p in predictions])
+
+
+def _results(
+    dataset: LabeledDataset, plan: list[_Fold], settings: Sequence[tuple[int, TrainConfig]]
+) -> Iterator[CVResult]:
+    """One scored CVResult per setting of ``_run_plan``, built as it is
+    consumed, so only one setting's predictions are held at a time."""
+    pooled = [dataset.documents[i] for _, test_idx, _ in plan for i in test_idx]
+    golds = {d.tweet_id: d.label for d in pooled}
+    for stances, fits in _run_plan(dataset, plan, settings):
+        predictions = tuple(Prediction(d.user_id, d.tweet_id, s) for d, s in zip(pooled, stances))
+        yield CVResult(score_predictions(predictions, golds), predictions, golds, fits)
 
 
 def cross_validate(
@@ -225,14 +235,8 @@ def cross_validate(
     """Pooled out-of-fold predictions at one (K, training config), over
     stratified folds dealt with ``cfg.seed``."""
     plan = _fold_plan(dataset, feature_count, k, cfg.seed, leaky_selection)
-    ((stances, fits),) = _run_plan(dataset, plan, [(feature_count, cfg)])
-    test_docs = _pooled_docs(dataset, plan)
-    return CVResult(
-        compute_metrics([(d.label, s) for d, s in zip(test_docs, stances)]),
-        tuple(Prediction(d.user_id, d.tweet_id, s) for d, s in zip(test_docs, stances)),
-        {d.tweet_id: d.label for d in test_docs},
-        fits,
-    )
+    (result,) = _results(dataset, plan, [(feature_count, cfg)])
+    return result
 
 
 def gamma_of(count_support: int, count_oppose: int) -> float:
@@ -245,34 +249,30 @@ def gamma_of(count_support: int, count_oppose: int) -> float:
     return max(count_support, count_oppose) / total
 
 
-def majorities(votes: Iterable[tuple[str, Stance]], gamma_min: float) -> dict[str, Stance]:
-    """user_id -> majority stance of each sufficiently consistent user, from
-    (user_id, predicted stance) pairs.
+_Record = TypeVar("_Record", bound=tuple)  # a Prediction or a cli.PredictionRow
+
+
+def adjust(predictions: Sequence[_Record], gamma_min: float) -> list[_Record]:
+    """Snap each sufficiently consistent user to their majority stance, over
+    named tuples with ``user_id`` and ``stance`` fields.
 
     A user qualifies when a strict majority exists (gamma > 0.5) and the
-    majority share reaches gamma_min.
+    majority share reaches gamma_min.  A record whose stance changes comes
+    back as ``r._replace(stance=...)``; every other record comes back as the
+    same object.  Idempotent; never flips a majority.
     """
     if not 0.5 <= gamma_min <= 1.0:
         raise ValueError("gamma_min must be in [0.5, 1.0]")
     counts: dict[str, list[int]] = {}
-    for user_id, stance in votes:
-        counts.setdefault(user_id, [0, 0])[0 if stance is Stance.SUPPORTING else 1] += 1
+    for p in predictions:
+        counts.setdefault(p.user_id, [0, 0])[0 if p.stance is Stance.SUPPORTING else 1] += 1
     majority: dict[str, Stance] = {}
     for uid, (c_s, c_o) in counts.items():
         gamma = gamma_of(c_s, c_o)
         if gamma > 0.5 and gamma >= gamma_min:
             majority[uid] = Stance.SUPPORTING if c_s > c_o else Stance.OPPOSING
-    return majority
-
-
-def adjust(predictions: Sequence[Prediction], gamma_min: float) -> list[Prediction]:
-    """Snap each sufficiently consistent user to their majority stance
-    (``majorities``).  Idempotent; never flips a majority."""
-    majority = majorities(((p.user_id, p.stance) for p in predictions), gamma_min)
-    return [
-        Prediction(p.user_id, p.tweet_id, majority[p.user_id]) if p.user_id in majority else p
-        for p in predictions
-    ]
+    return [p if (m := majority.get(p.user_id, p.stance)) is p.stance else p._replace(stance=m)
+            for p in predictions]
 
 
 SWEEP_AXES = ("feature_count", "wi", "gamma_min")
@@ -321,10 +321,8 @@ def sweep(
             raise ValueError("feature_count values must be positive integers")
     if axis == "gamma_min":
         result = cross_validate(dataset, feature_count, cfg, k, leaky_selection=leaky_selection)
-        return [SweepRow(v, compute_metrics([(result.golds[p.tweet_id], p.stance)
-                                             for p in adjust(result.predictions, v)]),
-                         result.fits)
-                for v in vals]
+        return [SweepRow(v, score_predictions(adjust(result.predictions, v), result.golds),
+                         result.fits) for v in vals]
     if axis == "feature_count":
         vals = [float(v) for v in vals]
         settings = [(int(v), cfg) for v in vals]
@@ -332,9 +330,7 @@ def sweep(
         settings = [(feature_count, replace(cfg, wi=v)) for v in vals]
     plan = _fold_plan(dataset, max(count for count, _ in settings), k, cfg.seed,
                       leaky_selection)
-    golds = [d.label for d in _pooled_docs(dataset, plan)]
-    return [SweepRow(v, compute_metrics(list(zip(golds, stances))), fits)
-            for v, (stances, fits) in zip(vals, _run_plan(dataset, plan, settings))]
+    return [SweepRow(v, r.report, r.fits) for v, r in zip(vals, _results(dataset, plan, settings))]
 
 
 # ---------------------------------------------------------------------------

@@ -283,20 +283,16 @@ def test_predictions_cover_the_remainder(pipeline):
     remainder = read_documents(pipeline["remainder"])
     preds = read_predictions_tsv(pipeline["preds"])
     assert len(preds) == len(remainder)
-    assert {p[0] for p in preds} == {d.tweet_id for d in remainder}
-    assert all(isinstance(p[3], Stance) for p in preds)
+    assert {p.tweet_id for p in preds} == {d.tweet_id for d in remainder}
+    assert all(isinstance(p.stance, Stance) for p in preds)
 
 
 def test_adjust_command_applies_library_semantics(pipeline):
-    from tcm_stance.evaluation import Prediction, adjust
+    from tcm_stance.evaluation import adjust
 
-    raw = read_predictions_tsv(pipeline["preds"])
-    adjusted = read_predictions_tsv(pipeline["adjusted"])
-    expected = adjust([Prediction(uid, tid, stance) for tid, uid, _ts, stance, _m in raw],
-                      0.6)
-    assert [row[3] for row in adjusted] == [p.stance for p in expected]
-    # everything except the stance column survives untouched
-    assert [row[:3] for row in adjusted] == [row[:3] for row in raw]
+    # whole rows: every column but the stance survives untouched
+    assert read_predictions_tsv(pipeline["adjusted"]) == adjust(
+        read_predictions_tsv(pipeline["preds"]), 0.6)
 
 
 def test_timeseries_totals_match_predictions(pipeline):

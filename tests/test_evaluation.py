@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import random
 from dataclasses import replace
+from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_dataset, peak_bytes, separable_dataset
+import tcm_stance
+from conftest import TS, make_dataset, peak_bytes, separable_dataset
 from oracles import reference_cross_validate
 from tcm_stance import evaluation
 from tcm_stance.evaluation import (
@@ -26,7 +30,7 @@ from tcm_stance.evaluation import (
     stratified_kfold,
     sweep,
 )
-from tcm_stance.cli import parse_sweep_values
+from tcm_stance.cli import PredictionRow, parse_sweep_values
 from tcm_stance.features import collect_stats, select_features
 from tcm_stance.stance import Stance
 from tcm_stance.supervision import LabeledDataset
@@ -179,6 +183,17 @@ def preds(*rows) -> list[Prediction]:
     return [Prediction(uid, f"t{i}", s) for i, (uid, s) in enumerate(rows)]
 
 
+def prediction_rows(*rows) -> list[PredictionRow]:
+    """The same (user, stance) draws as predictions TSV rows, each with its
+    own time and margin."""
+    return [PredictionRow(f"t{i}", uid, TS + timedelta(minutes=i), s, (i if s is S else -i) / 8)
+            for i, (uid, s) in enumerate(rows)]
+
+
+# the record shapes adjust is given: CV predictions and predictions TSV rows
+RECORD_SHAPES = (preds, prediction_rows)
+
+
 def test_adjust_snaps_consistent_users():
     p = preds(("a", S), ("a", S), ("a", O), ("b", O))
     adjusted = adjust(p, 0.6)
@@ -197,16 +212,20 @@ def test_adjust_leaves_ties_alone():
 
 
 def test_adjust_at_one_only_confirms_unanimity():
-    p = preds(("a", S), ("a", S), ("b", S), ("b", O))
-    assert adjust(p, 1.0) == p
+    for records in RECORD_SHAPES:
+        p = records(("a", S), ("a", S), ("b", S), ("b", O))
+        out = adjust(p, 1.0)
+        assert out == p
+        assert all(after is before for after, before in zip(out, p)), records.__name__
 
 
 def test_adjust_validates_threshold():
-    with pytest.raises(ValueError):
-        adjust([], 0.4)
-    with pytest.raises(ValueError):
-        adjust([], 1.01)
-    assert adjust([], 0.5) == []
+    for records in RECORD_SHAPES:
+        with pytest.raises(ValueError):
+            adjust(records(("a", S)), 0.4)
+        with pytest.raises(ValueError):
+            adjust(records(("a", S)), 1.01)
+        assert adjust(records(), 0.5) == []
 
 
 @given(
@@ -214,18 +233,67 @@ def test_adjust_validates_threshold():
     st.floats(0.5, 1.0),
 )
 def test_adjust_is_idempotent_and_majority_preserving(rows, gamma_min):
-    p = preds(*rows)
-    once = adjust(p, gamma_min)
-    assert adjust(once, gamma_min) == once
-    for uid in {x.user_id for x in p}:
-        before = [x.stance for x in p if x.user_id == uid]
-        after = [x.stance for x in once if x.user_id == uid]
-        if before.count(S) > before.count(O):
-            assert after.count(S) >= before.count(S)
-        elif before.count(O) > before.count(S):
-            assert after.count(O) >= before.count(O)
-        else:
-            assert after == before
+    stances = []
+    for records in RECORD_SHAPES:
+        p = records(*rows)
+        once = adjust(p, gamma_min)
+        assert adjust(once, gamma_min) == once
+        # only the stance changes, and each record keeps its type
+        assert [type(x) for x in once] == [type(x) for x in p]
+        assert [x._replace(stance=S) for x in once] == [x._replace(stance=S) for x in p]
+        for uid in {x.user_id for x in p}:
+            before = [x.stance for x in p if x.user_id == uid]
+            after = [x.stance for x in once if x.user_id == uid]
+            if before.count(S) > before.count(O):
+                assert after.count(S) >= before.count(S)
+            elif before.count(O) > before.count(S):
+                assert after.count(O) >= before.count(O)
+            else:
+                assert after == before
+        stances.append([x.stance for x in once])
+    assert stances[0] == stances[1]
+
+
+def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name]
+
+
+READERS = ("read_predictions_tsv", "iter_predictions_tsv")
+
+
+def test_one_scorer_one_adjust_and_prediction_rows_read_by_field():
+    """Gold/stance pairs are scored only by ``evaluation.score_predictions``,
+    the per-user rule lives only in ``evaluation.adjust``, and the CLI reads
+    a predictions row by field name, never by position."""
+    package = Path(tcm_stance.__file__).parent
+    trees = {source.stem: ast.parse(source.read_text(encoding="utf-8"))
+             for source in sorted(package.glob("*.py"))}
+    scorer, = (node for node in trees["evaluation"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "score_predictions")
+    assert sum(len(_calls(tree, "compute_metrics")) for tree in trees.values()) == 1
+    assert len(_calls(scorer, "compute_metrics")) == 1
+    assert not hasattr(evaluation, "majorities")
+
+    offenders = []
+    for func in ast.walk(trees["cli"]):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        # names bound to a predictions reader's rows in this function
+        rows = {target.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+                and any(_calls(node.value, reader) for reader in READERS)
+                for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(func):
+            # only the split line, before it is a row, is indexed by position
+            if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                    and isinstance(node.slice.value, int) and ast.unparse(node.value) != "parts"):
+                offenders.append(f"{func.name}:{node.lineno}")
+            # and no loop unpacks a row
+            if (isinstance(node, (ast.For, ast.comprehension))
+                    and isinstance(node.target, ast.Tuple)
+                    and isinstance(node.iter, ast.Name) and node.iter.id in rows):
+                offenders.append(f"{func.name}:{node.iter.lineno}")
+    assert offenders == []
 
 
 CV_CFG = TrainConfig(C=1.0, wi=0.9, seed=7)
