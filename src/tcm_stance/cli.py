@@ -13,7 +13,6 @@ import io
 import math
 import sys
 from dataclasses import fields
-from datetime import datetime
 from itertools import starmap
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -28,12 +27,11 @@ from .config import (
     parse_config_file,
 )
 from .corpus import (
+    canonical_timestamp,
     check_id,
     dedupe_users,
-    format_timestamp,
     load_tweets,
     load_users,
-    parse_timestamp,
     split_retweets,
 )
 from .features import (
@@ -111,14 +109,14 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 class PredictionRow(NamedTuple):
     tweet_id: str
     user_id: str
-    created_at: datetime
+    created_at: str  # canonical timestamp text
     stance: Stance
     margin: float
 
 
-def _prediction_line(tweet_id: str, user_id: str, created_at: datetime, stance: Stance,
+def _prediction_line(tweet_id: str, user_id: str, created_at: str, stance: Stance,
                      margin: float) -> str:
-    return f"{tweet_id}\t{user_id}\t{format_timestamp(created_at)}\t{stance.wire}\t{margin:.6f}\n"
+    return f"{tweet_id}\t{user_id}\t{created_at}\t{stance.wire}\t{margin:.6f}\n"
 
 
 def write_predictions_tsv(path: Path, rows: Iterable[PredictionRow]) -> None:
@@ -136,7 +134,7 @@ def iter_predictions_tsv(path: Path) -> Iterator[PredictionRow]:
             if len(parts) != 5:
                 raise ValueError("expected 5 tab-separated fields")
             row = PredictionRow(check_id("tweet_id", parts[0]), check_id("user_id", parts[1]),
-                                parse_timestamp(parts[2]), Stance.from_wire(parts[3]),
+                                canonical_timestamp(parts[2]), Stance.from_wire(parts[3]),
                                 float(parts[4]))
             if not math.isfinite(row.margin):
                 raise ValueError("margin must be a finite number")

@@ -12,7 +12,7 @@ import codecs
 import json
 import re
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import date, datetime
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -21,8 +21,8 @@ TEXT_CLAMP = 280            # repost commentary can double the 140-char post lim
 MAX_CHAIN_DEPTH = 16
 MAX_TAGS = 10
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S"
-# the zero-padded form format_timestamp writes; ASCII digits only, since
-# strptime also reads other Unicode digits and keeps that path
+# the zero-padded form format_timestamp writes, which records carry; ASCII
+# digits only, since strptime also reads other Unicode digits and keeps that path
 _CANONICAL_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}")
 # tab, CR and LF would break a line of the predictions TSV; "#" in a
 # top-level id is reserved for the "<id>#k" ids of repost positions
@@ -35,12 +35,13 @@ _SCAN = json.JSONDecoder().scan_once
 
 
 class Tweet(NamedTuple):
-    """One flattened post; reposted entries get ids suffixed ``base#k``."""
+    """One flattened post; reposted entries get ids suffixed ``base#k``.
+    ``created_at`` is canonical timestamp text (``canonical_timestamp``)."""
 
     id: str
     user_id: str
     text: str
-    created_at: datetime
+    created_at: str
 
 
 @dataclass(frozen=True)
@@ -62,15 +63,23 @@ def decode_line(text: str) -> object:
     return obj if end == len(text) else json.loads(text)
 
 
-def parse_timestamp(value: object) -> datetime:
-    """Read TIMESTAMP_FORMAT.  The canonical zero-padded form takes the fast
-    ``fromisoformat`` path; anything else (unpadded fields, non-ASCII digits)
-    goes to ``strptime``, which accepts and rejects exactly what it always did."""
+def canonical_timestamp(value: object) -> str:
+    """Read TIMESTAMP_FORMAT and return the zero-padded text that
+    ``format_timestamp`` writes for it.  Text already in that form is
+    range-checked by ``fromisoformat`` and returned as it is; anything else
+    (unpadded fields, non-ASCII digits) goes to ``strptime``, which accepts
+    and rejects exactly what it always did, and is formatted once."""
     if not isinstance(value, str):
         raise ValueError("created_at must be a string")
     if _CANONICAL_TIMESTAMP.fullmatch(value):
-        return datetime.fromisoformat(value)
-    return datetime.strptime(value, TIMESTAMP_FORMAT)
+        datetime.fromisoformat(value)
+        return value
+    return format_timestamp(datetime.strptime(value, TIMESTAMP_FORMAT))
+
+
+def timestamp_date(text: str) -> date:
+    """The calendar date of canonical timestamp text."""
+    return date.fromisoformat(text[:10])
 
 
 def format_timestamp(value: datetime) -> str:
@@ -123,7 +132,8 @@ def _flatten(obj: object) -> tuple[Tweet, ...]:
             tid = f"{tweets[0].id}#{len(tweets)}"
         elif "#" in tid or unsafe_id(tid):
             raise ValueError("id contains '#', a tab, a line break or a lone surrogate")
-        tweets.append(Tweet(tid, uid, text[:TEXT_CLAMP], parse_timestamp(node.get("created_at"))))
+        tweets.append(Tweet(tid, uid, text[:TEXT_CLAMP],
+                            canonical_timestamp(node.get("created_at"))))
         node = node.get("retweet")
     return tuple(tweets)
 
@@ -227,7 +237,7 @@ def _record_to_obj(record: tuple[Tweet, ...]) -> dict:
             "id": tweet.id,
             "user_id": tweet.user_id,
             "text": tweet.text,
-            "created_at": format_timestamp(tweet.created_at),
+            "created_at": tweet.created_at,
         }
         if obj is not None:
             node["retweet"] = obj

@@ -4,12 +4,11 @@ segmentation, stopword removal and advertisement filtering."""
 from __future__ import annotations
 
 import re
-from datetime import datetime
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
-from .corpus import Tweet, check_id, decode_line, format_timestamp, parse_timestamp
+from .corpus import Tweet, canonical_timestamp, check_id, decode_line
 from .resources import Resources, TermList, located
 from .stance import Stance
 
@@ -24,11 +23,12 @@ _WS_RE = re.compile(r"\s+")
 
 
 class Document(NamedTuple):
-    """A preprocessed tweet: token sequence plus carry-through identifiers."""
+    """A preprocessed tweet: token sequence plus carry-through identifiers
+    and the tweet's canonical timestamp text."""
 
     tweet_id: str
     user_id: str
-    created_at: datetime
+    created_at: str
     tokens: tuple[str, ...]
     label: Optional[Stance] = None
 
@@ -41,11 +41,18 @@ def to_simplified(text: str, simplify: Callable[[str], str]) -> str:
 
 def strip_entities(text: str) -> str:
     """Drop URLs, @mentions, [bracketed] emoticon codes, ASCII emoticons and
-    platform markers, then collapse whitespace runs.  Never grows the text."""
-    text = _URL_RE.sub("", text)
-    text = _MENTION_RE.sub("", text)
-    text = _BRACKET_RE.sub("", text)
-    text = _ASCII_EMOTICON_RE.sub("", text)
+    platform markers, then collapse whitespace runs.  Never grows the text.
+    Each pattern runs only on a text that holds the literal every one of its
+    matches starts with or contains, so a skipped run would have matched
+    nothing."""
+    if "http" in text:
+        text = _URL_RE.sub("", text)
+    if "@" in text:
+        text = _MENTION_RE.sub("", text)
+    if "[" in text:
+        text = _BRACKET_RE.sub("", text)
+    if ":" in text:
+        text = _ASCII_EMOTICON_RE.sub("", text)
     for marker in _PLATFORM_MARKERS:
         text = text.replace(marker, "")
     return _WS_RE.sub(" ", text).strip()
@@ -137,7 +144,7 @@ class SharedStrings(dict):
         return text
 
 
-DocumentFields = tuple[str, str, datetime, tuple[str, ...], Optional[Stance]]
+DocumentFields = tuple[str, str, str, tuple[str, ...], Optional[Stance]]
 
 
 def document_fields(obj: object, strings: SharedStrings) -> DocumentFields:
@@ -156,7 +163,7 @@ def document_fields(obj: object, strings: SharedStrings) -> DocumentFields:
     except TypeError:  # an unhashable token: a list or an object
         raise ValueError(_BAD_TOKENS) from None
     label = obj.get("label")
-    return (tweet_id, strings[user_id], parse_timestamp(obj.get("created_at")), tokens,
+    return (tweet_id, strings[user_id], canonical_timestamp(obj.get("created_at")), tokens,
             None if label is None else Stance.from_wire(label))
 
 
@@ -177,7 +184,7 @@ def write_documents(path: str | Path, docs: Iterable[Document]) -> int:
         for count, doc in enumerate(docs, 1):
             write(f'{{"tweet_id":{encode_basestring(doc.tweet_id)},'
                   f'"user_id":{literal(doc.user_id)},'
-                  f'"created_at":"{format_timestamp(doc.created_at)}",'
+                  f'"created_at":"{doc.created_at}",'
                   f'"tokens":[{",".join(map(literal, doc.tokens))}]{_LINE_ENDS[doc.label]}')
     return count
 

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 from typing import Iterable, Sequence
 
+from .corpus import timestamp_date
 from .evaluation import MetricsReport
 from .features import FeatureSet, SelectedTerm
 from .stance import Stance
@@ -33,16 +34,18 @@ def _period(key: int, granularity: str) -> str:
 
 
 def timeseries(
-    items: Iterable[tuple[datetime, Stance]], granularity: str = "month"
+    items: Iterable[tuple[str, Stance]], granularity: str = "month"
 ) -> list[TimeBucket]:
-    """Chronological per-period stance counts; empty periods inside the
-    observed range are emitted with zero counts."""
+    """Chronological per-period stance counts over (canonical timestamp
+    text, stance) pairs; empty periods inside the observed range are
+    emitted with zero counts."""
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity must be one of {GRANULARITIES}")
     by_month = granularity == "month"
     counts: dict[int, list[int]] = {}
-    for ts, stance in items:
-        key = ts.year * 12 + ts.month - 1 if by_month else ts.toordinal()
+    for text, stance in items:
+        day = timestamp_date(text)
+        key = day.year * 12 + day.month - 1 if by_month else day.toordinal()
         counts.setdefault(key, [0, 0])[0 if stance is Stance.SUPPORTING else 1] += 1
     if not counts:
         return []

@@ -131,7 +131,7 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     try:
         with open(path, encoding="utf-8-sig", newline="\n") as fh:
             for lineno, line in enumerate(fh, 1):
-                if line.strip():
+                if not line.isspace():
                     yield lineno, line.removesuffix("\n").removesuffix("\r")
     except UnicodeDecodeError as exc:
         # the text layer decodes in chunks, so its offsets are chunk-relative

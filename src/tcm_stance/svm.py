@@ -298,14 +298,17 @@ def solve_dual(
                     s += w[j] * v
                 if kind == 3:
                     s += b
+            # g = y * s - 1.0 is exactly 0.0 when s == y (y is +-1.0): such
+            # a visit moves nothing, so it is skipped before g is computed;
+            # a NaN margin is unequal to y and reaches the check below
+            if s == y:
+                continue
             g = y * s - 1.0
             if g != g:
                 raise FloatingPointError("non-finite gradient during training")
-            # pg, the |projected gradient|, is 0 where g is 0 or points out
-            # of the box: such a visit moves nothing, and it shrinks when g
-            # points out by more than the threshold
-            if g == 0.0:
-                continue
+            # pg, the |projected gradient|, is 0 where g points out of the
+            # box: such a visit moves nothing, and it shrinks when g points
+            # out by more than the threshold
             a = alphas[i]
             if a <= 0.0:
                 if g > 0.0:

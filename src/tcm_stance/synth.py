@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
-from .corpus import Tweet, UserProfile, write_tweets_jsonl, write_users_jsonl
+from .corpus import Tweet, UserProfile, format_timestamp, write_tweets_jsonl, write_users_jsonl
 from .resources import SEARCH_TAGS_PATH, DEFAULT_PATHS, load_tag_lexicon, load_term_list, located
 from .stance import Stance
 
@@ -83,11 +83,12 @@ class SynthCorpus:
     gold: dict[str, Stance]  # tweet id -> author's gold stance
 
 
-def _random_timestamp(rng: random.Random) -> datetime:
+def _random_timestamp(rng: random.Random) -> str:
     year, month = divmod(START_YEAR * 12 + rng.randrange(MONTHS), 12)
     month += 1
     day = rng.randint(1, calendar.monthrange(year, month)[1])
-    return datetime(year, month, day, rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59))
+    return format_timestamp(datetime(year, month, day, rng.randint(0, 23), rng.randint(0, 59),
+                                     rng.randint(0, 59)))
 
 
 def generate(cfg: SynthConfig) -> SynthCorpus:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
-from datetime import datetime
 from itertools import chain
 
 import pytest
@@ -18,7 +17,7 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-TS = datetime(2013, 5, 17, 12, 0, 0)
+TS = "2013-05-17T12:00:00"  # records carry canonical timestamp text
 
 
 def make_doc(tweet_id, user_id, tokens, label=None, created_at=TS) -> Document:

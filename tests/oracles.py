@@ -4,27 +4,39 @@ Everything here is written in the most literal style available (explicit
 2x2 contingency tables, brute-force grid enumeration with numpy, a dual
 solver that visits every example in every epoch, the shrinking solver as
 first written, a fresh cross-validation per setting, a segmenter that
-probes every length, a lexicon merged one list at a time, documents written
-through the JSON encoder, time buckets keyed by their labels, the predict
-and adjust commands as list pipelines over per-row objects) so that a
-mistake in these oracles is unlikely to correlate with a mistake in the
-optimized code under test.
+probes every length, a lexicon merged one list at a time, entity patterns
+run on every text, timestamps parsed to ``datetime`` values and formatted
+back, documents written through the JSON encoder, time buckets keyed by
+their labels, the predict and adjust commands as list pipelines over
+per-row objects) so that a mistake in these oracles is unlikely to
+correlate with a mistake in the optimized code under test.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 import unicodedata
 from datetime import date, datetime, timedelta
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from tcm_stance.corpus import format_timestamp, parse_timestamp, write_jsonl
+from tcm_stance.corpus import TIMESTAMP_FORMAT, format_timestamp, write_jsonl
 from tcm_stance.evaluation import CVResult, Prediction, compute_metrics, stratified_kfold
 from tcm_stance.features import collect_stats, load_feature_set, select_features, vectorize
-from tcm_stance.preprocess import MAX_MATCH, Document, read_documents
+from tcm_stance.preprocess import (
+    _ASCII_EMOTICON_RE,
+    _BRACKET_RE,
+    _MENTION_RE,
+    _PLATFORM_MARKERS,
+    _URL_RE,
+    _WS_RE,
+    MAX_MATCH,
+    Document,
+    read_documents,
+)
 from tcm_stance.resources import CharMap, TermList
 from tcm_stance.stance import Stance
 from tcm_stance.supervision import LabeledDataset
@@ -407,12 +419,36 @@ def reference_union(first: TermList, *others: Iterable[str]) -> TermList:
     return merged
 
 
+_CANONICAL_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}")
+
+
+def reference_parse_timestamp(value: object) -> datetime:
+    """TIMESTAMP_FORMAT read to a ``datetime``: the zero-padded ASCII form by
+    ``fromisoformat``, anything else by ``strptime``."""
+    if not isinstance(value, str):
+        raise ValueError("created_at must be a string")
+    if _CANONICAL_TIMESTAMP.fullmatch(value):
+        return datetime.fromisoformat(value)
+    return datetime.strptime(value, TIMESTAMP_FORMAT)
+
+
+def reference_strip_entities(text: str) -> str:
+    """Every entity pattern and marker removed from every text, in order."""
+    text = _URL_RE.sub("", text)
+    text = _MENTION_RE.sub("", text)
+    text = _BRACKET_RE.sub("", text)
+    text = _ASCII_EMOTICON_RE.sub("", text)
+    for marker in _PLATFORM_MARKERS:
+        text = text.replace(marker, "")
+    return _WS_RE.sub(" ", text).strip()
+
+
 def document_to_obj(doc: Document) -> dict:
     """A document as the JSON object of its line in a documents file."""
     obj: dict = {
         "tweet_id": doc.tweet_id,
         "user_id": doc.user_id,
-        "created_at": format_timestamp(doc.created_at),
+        "created_at": doc.created_at,
         "tokens": list(doc.tokens),
     }
     if doc.label is not None:
@@ -507,7 +543,7 @@ def reference_read_predictions(path) -> list[tuple]:
             if len(parts) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
             try:
-                rows.append((parts[0], parts[1], parse_timestamp(parts[2]),
+                rows.append((parts[0], parts[1], reference_parse_timestamp(parts[2]),
                              Stance.from_wire(parts[3]), float(parts[4])))
                 if not math.isfinite(rows[-1][4]):
                     raise ValueError("margin must be a finite number")
@@ -535,7 +571,8 @@ def reference_predict(docs_path, model_path, features_path, out_path) -> None:
         for j in cols:
             margin += weights[j] * 1.0
         stance = Stance.OPPOSING if margin < 0.0 else Stance.SUPPORTING
-        rows.append((doc.tweet_id, doc.user_id, doc.created_at, stance, margin))
+        rows.append((doc.tweet_id, doc.user_id, reference_parse_timestamp(doc.created_at),
+                     stance, margin))
     reference_write_predictions(out_path, rows)
 
 

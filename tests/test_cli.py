@@ -13,7 +13,6 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
-from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -747,8 +746,8 @@ def test_every_subcommand_prints_help(monkeypatch, capsys):
 
 def test_predictions_tsv_round_trip(tmp_path):
     rows = [
-        ("t1", "u1", datetime(2013, 2, 3, 4, 5, 6), Stance.SUPPORTING, 1.25),
-        ("t2", "u2", datetime(2013, 3, 4, 5, 6, 7), Stance.OPPOSING, -0.333333),
+        ("t1", "u1", "2013-02-03T04:05:06", Stance.SUPPORTING, 1.25),
+        ("t2", "u2", "2013-03-04T05:06:07", Stance.OPPOSING, -0.333333),
     ]
     path = tmp_path / "preds.tsv"
     write_predictions_tsv(path, rows)

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tcm_stance
+from oracles import reference_parse_timestamp
 from tcm_stance.cli import main
 from tcm_stance.preprocess import read_documents
 from tcm_stance.stance import Stance
@@ -27,13 +28,14 @@ from tcm_stance.corpus import (
     TIMESTAMP_FORMAT,
     Tweet,
     UserProfile,
+    canonical_timestamp,
     decode_line,
     dedupe_users,
     format_timestamp,
     load_tweets,
     load_users,
-    parse_timestamp,
     split_retweets,
+    timestamp_date,
     write_tweets_jsonl,
     write_users_jsonl,
 )
@@ -66,25 +68,26 @@ def chain_obj(depth: int, prefix: str = "c") -> dict:
 
 def chain(depth: int, prefix: str = "c") -> tuple[Tweet, ...]:
     """The record `chain_obj(depth, prefix)` flattens to."""
-    return tuple(Tweet(f"{prefix}0" if k == 0 else f"{prefix}0#{k}", f"u{k}", f"text{k}", TS)
+    return tuple(Tweet(f"{prefix}0" if k == 0 else f"{prefix}0#{k}", f"u{k}", f"text{k}", WIRE_TS)
                  for k in range(depth + 1))
 
 
 def test_timestamp_round_trip():
-    assert parse_timestamp(WIRE_TS) == TS
+    assert canonical_timestamp(WIRE_TS) == WIRE_TS
+    assert reference_parse_timestamp(WIRE_TS) == TS
     assert format_timestamp(TS) == WIRE_TS
 
 
 def strptime_or_error(value: str):
     try:
-        return datetime.strptime(value, TIMESTAMP_FORMAT)
+        return format_timestamp(datetime.strptime(value, TIMESTAMP_FORMAT))
     except ValueError:
         return ValueError
 
 
-def parse_or_error(value: str):
+def canonical_or_error(value: str):
     try:
-        return parse_timestamp(value)
+        return canonical_timestamp(value)
     except ValueError:
         return ValueError
 
@@ -101,12 +104,12 @@ def parse_or_error(value: str):
     "2013-05-17 12:00:00", "2013-05-17T12:00:00Z", "2013-05-17T12:00:00\n", "",
 ])
 def test_parse_timestamp_matches_strptime(value):
-    assert parse_or_error(value) == strptime_or_error(value)
+    assert canonical_or_error(value) == strptime_or_error(value)
 
 
 @given(st.from_regex(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}", fullmatch=True))
 def test_parse_timestamp_matches_strptime_on_canonical_shapes(value):
-    assert parse_or_error(value) == strptime_or_error(value)
+    assert canonical_or_error(value) == strptime_or_error(value)
 
 
 @given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)))
@@ -115,8 +118,51 @@ def test_canonical_timestamps_round_trip_for_every_year(value):
     text = (f"{value.year:04d}-{value.month:02d}-{value.day:02d}T"
             f"{value.hour:02d}:{value.minute:02d}:{value.second:02d}")
     assert format_timestamp(value) == text
-    assert parse_timestamp(text) == value
-    assert format_timestamp(parse_timestamp(text)) == text
+    assert canonical_timestamp(text) is text
+    assert timestamp_date(text) == value.date()
+
+
+@given(value=st.datetimes(min_value=datetime(1, 1, 1),
+                          max_value=datetime(9999, 12, 31, 23, 59, 59)),
+       padded=st.lists(st.booleans(), min_size=5, max_size=5))
+@example(value=datetime(999, 2, 3, 4, 5, 6), padded=[False] * 5)
+@example(value=datetime(2012, 2, 29, 23, 59, 59), padded=[True, False, True, False, True])
+def test_canonical_timestamp_is_the_reference_parse_formatted(value, padded):
+    """Every field after the four-digit year zero-padded or not, as
+    strptime reads both."""
+    mo, d, h, mi, sec = (f"{v:02d}" if pad else str(v) for v, pad in zip(
+        (value.month, value.day, value.hour, value.minute, value.second), padded))
+    text = f"{value.year:04d}-{mo}-{d}T{h}:{mi}:{sec}"
+    assert canonical_timestamp(text) == format_timestamp(reference_parse_timestamp(text))
+
+
+# a non-string, a word, a day and an hour out of range, non-ASCII digits in
+# a field strptime reads as ASCII only, and an ISO week date, which
+# fromisoformat alone would accept
+@pytest.mark.parametrize("bad", [
+    20130821, None, "yesterday", "2013-02-30T00:00:00", "2013-08-21T24:00:00",
+    "2014-０３-07T01:02:03", "2013-W34-3T18:06:52",
+])
+def test_canonical_timestamp_refuses_as_the_reference_does(bad):
+    with pytest.raises(ValueError) as expected:
+        reference_parse_timestamp(bad)
+    with pytest.raises(ValueError) as refused:
+        canonical_timestamp(bad)
+    assert str(refused.value) == str(expected.value)
+
+
+def test_format_timestamp_has_two_callers_where_a_datetime_is_made():
+    """Records carry canonical text, so a timestamp is formatted only where
+    a ``datetime`` is created: the ``strptime`` fallback and the generator."""
+    callers = []
+    for source in sorted(Path(tcm_stance.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [f"{source.name}:{func.name}" for node in ast.walk(func)
+                            if isinstance(node, ast.Call)
+                            and ast.unparse(node.func).split(".")[-1] == "format_timestamp"]
+    assert callers == ["corpus.py:canonical_timestamp", "synth.py:_random_timestamp"]
 
 
 _NAIVE_DATETIMES = st.datetimes(min_value=datetime(1, 1, 1),
@@ -139,7 +185,7 @@ def test_format_timestamp_is_isoformat_to_the_second(value, offset):
 @pytest.mark.parametrize("bad", [123, None, ["2013-05-17T12:00:00"]])
 def test_parse_timestamp_rejects_non_strings(bad):
     with pytest.raises(ValueError):
-        parse_timestamp(bad)
+        canonical_timestamp(bad)
 
 
 def test_load_tweets_keeps_order_and_counts_malformed(tmp_path):
@@ -174,7 +220,7 @@ def test_load_tweets_parses_nested_repost(tmp_path):
     write_jsonl(path, [outer])
     records, skipped = load_tweets(path)
     assert skipped == 0
-    assert records == [(Tweet("t1", "u1", "转发", TS), Tweet("t1#1", "u0", "原文", TS))]
+    assert records == [(Tweet("t1", "u1", "转发", WIRE_TS), Tweet("t1#1", "u0", "原文", WIRE_TS))]
 
 
 def test_load_tweets_rejects_absurd_nesting(tmp_path):
@@ -267,7 +313,7 @@ def test_load_tweets_missing_file_raises(tmp_path):
 
 
 def test_tweets_jsonl_round_trip(tmp_path):
-    records = [chain(2), chain(0, "d"), (Tweet("x", "u", "中文 text", TS),)]
+    records = [chain(2), chain(0, "d"), (Tweet("x", "u", "中文 text", WIRE_TS),)]
     path = tmp_path / "tweets.jsonl"
     write_tweets_jsonl(path, records)
     loaded, skipped = load_tweets(path)
@@ -277,7 +323,7 @@ def test_tweets_jsonl_round_trip(tmp_path):
 
 def test_tweets_jsonl_is_not_ascii_escaped(tmp_path):
     path = tmp_path / "tweets.jsonl"
-    write_tweets_jsonl(path, [(Tweet("x", "u", "中医", TS),)])
+    write_tweets_jsonl(path, [(Tweet("x", "u", "中医", WIRE_TS),)])
     assert "中医" in path.read_text(encoding="utf-8")
 
 
@@ -364,7 +410,7 @@ def test_split_plain_tweet_is_identity(tmp_path):
     write_jsonl(path, [tweet_obj(tid="t9", uid="u9", text="  保留  空白　")])
     records, _ = load_tweets(path)
     tweets = split_retweets(records)
-    assert tweets == [Tweet("t9", "u9", "  保留  空白　", TS)]
+    assert tweets == [Tweet("t9", "u9", "  保留  空白　", WIRE_TS)]
 
 
 def test_split_chain_ids_positions_and_texts(tmp_path):

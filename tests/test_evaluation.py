@@ -6,7 +6,7 @@ import ast
 import math
 import random
 from dataclasses import replace
-from datetime import timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tcm_stance
-from conftest import TS, make_dataset, peak_bytes, separable_dataset
+from conftest import make_dataset, peak_bytes, separable_dataset
 from oracles import reference_cross_validate
 from tcm_stance import evaluation
 from tcm_stance.evaluation import (
@@ -31,6 +31,7 @@ from tcm_stance.evaluation import (
     sweep,
 )
 from tcm_stance.cli import PredictionRow, parse_sweep_values
+from tcm_stance.corpus import format_timestamp
 from tcm_stance.features import collect_stats, select_features
 from tcm_stance.stance import Stance
 from tcm_stance.supervision import LabeledDataset
@@ -186,7 +187,9 @@ def preds(*rows) -> list[Prediction]:
 def prediction_rows(*rows) -> list[PredictionRow]:
     """The same (user, stance) draws as predictions TSV rows, each with its
     own time and margin."""
-    return [PredictionRow(f"t{i}", uid, TS + timedelta(minutes=i), s, (i if s is S else -i) / 8)
+    start = datetime(2013, 5, 17, 12)
+    return [PredictionRow(f"t{i}", uid, format_timestamp(start + timedelta(minutes=i)), s,
+                          (i if s is S else -i) / 8)
             for i, (uid, s) in enumerate(rows)]
 
 

@@ -16,9 +16,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_doc, peak_bytes
-from oracles import reference_adjust, reference_predict, reference_read_predictions
+from oracles import (
+    reference_adjust,
+    reference_predict,
+    reference_read_predictions,
+    reference_timeseries,
+)
 from tcm_stance import reports
 from tcm_stance.cli import main
+from tcm_stance.corpus import format_timestamp
 from tcm_stance.features import FeatureSet, SelectedTerm, save_feature_set
 from tcm_stance.preprocess import read_documents, write_documents
 from tcm_stance.stance import Stance
@@ -49,7 +55,7 @@ def _predict(d: Path, out: str) -> int:
 
 def _write_docs(d: Path, token_lists) -> None:
     write_documents(d / "docs.jsonl", (
-        make_doc(f"t{i}", f"u{i % 3}", tokens, created_at=datetime(2013, 5, 17, 12, 0, i % 60))
+        make_doc(f"t{i}", f"u{i % 3}", tokens, created_at=f"2013-05-17T12:00:{i % 60:02d}")
         for i, tokens in enumerate(token_lists)))
 
 
@@ -133,7 +139,7 @@ def test_predict_holds_one_output_line_per_document(tmp_path):
     start = datetime(2013, 1, 1)
     write_documents(tmp_path / "docs.jsonl", (
         make_doc(f"t{i:05d}", f"user{i % 20:02d}", rng.choices(vocab, k=10),
-                 created_at=start + timedelta(minutes=i))
+                 created_at=format_timestamp(start + timedelta(minutes=i)))
         for i in range(n)))
     assert peak_bytes(lambda: _predict(tmp_path, "preds.tsv")) < 160 * n
 
@@ -163,9 +169,11 @@ def _write_predictions(path: Path, rows) -> None:
 
 
 def _reference_timeseries(path: Path, granularity: str) -> tuple[bytes, bytes]:
-    """CSV and SVG bytes of the report over the fully read rows."""
+    """CSV and SVG bytes of the report over the fully read rows, bucketed
+    by their parsed times."""
     rows = reference_read_predictions(path)
-    buckets = reports.timeseries([(ts, stance) for _, _, ts, stance, _ in rows], granularity)
+    buckets = [reports.TimeBucket(*bucket) for bucket in reference_timeseries(
+        [(ts, stance) for _, _, ts, stance, _ in rows], granularity)]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(reports.timeseries_csv_rows(buckets))
     return (buf.getvalue().encode("utf-8"),

@@ -11,7 +11,7 @@ from datetime import datetime
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import TS, make_doc, make_resources, peak_bytes
@@ -19,11 +19,12 @@ from oracles import (
     reference_is_noise_token,
     reference_remove_stopwords,
     reference_segment,
+    reference_strip_entities,
     reference_to_simplified,
     reference_write_documents,
 )
 from tcm_stance import resources
-from tcm_stance.corpus import Tweet
+from tcm_stance.corpus import Tweet, format_timestamp
 from tcm_stance.preprocess import (
     MAX_MATCH,
     Document,
@@ -145,6 +146,22 @@ def test_strip_entities_never_grows_or_pads(text):
     assert out == out.strip()
     assert "  " not in out
     assert "\n" not in out and "\t" not in out
+
+
+# pieces of every entity, so that one pattern's removal can make or break
+# another's match
+_ENTITY_PIECES = st.sampled_from([
+    "http", "https://", "://", "t.cn/a", "@", "用户", "_", "[", "]", "哈哈", ":", "-", ")",
+    "(", "转发微博", "回复", " ", "\n", "中医", "a", "h", "\u3000",
+])
+
+
+@given(st.one_of(st.lists(_ENTITY_PIECES, max_size=16).map("".join), st.text(max_size=40)))
+@example("@http://x")
+@example("[@]:-)")
+@example("h@ttp://x [a] :)")
+def test_strip_entities_matches_the_unguarded_sequence(text):
+    assert strip_entities(text) == reference_strip_entities(text)
 
 
 def test_segment_prefers_longest_prefix():
@@ -352,7 +369,7 @@ _DOCUMENTS = st.builds(
     tweet_id=_JSON_TEXT,
     user_id=st.one_of(_JSON_TEXT, st.sampled_from(["u1", "用户甲"])),
     created_at=st.datetimes(min_value=datetime(1, 1, 1),
-                            max_value=datetime(9999, 12, 31, 23, 59, 59)),
+                            max_value=datetime(9999, 12, 31, 23, 59, 59)).map(format_timestamp),
     tokens=st.lists(st.one_of(_JSON_TEXT, st.sampled_from(["中医", "u1"])), max_size=6).map(tuple),
     label=st.sampled_from([None, *Stance]),
 )

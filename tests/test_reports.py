@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import reference_timeseries
+from oracles import reference_parse_timestamp, reference_timeseries
+from tcm_stance.corpus import format_timestamp
 from tcm_stance.evaluation import compute_metrics
 from tcm_stance.features import SelectedTerm, FeatureSet, TermStats, select_features
 from tcm_stance.reports import (
@@ -29,7 +30,12 @@ S, O = Stance.SUPPORTING, Stance.OPPOSING
 
 
 def at(year, month, day=5):
-    return datetime(year, month, day, 10, 30)
+    return f"{year:04d}-{month:02d}-{day:02d}T10:30:00"
+
+
+def texts(items):
+    """(datetime, stance) pairs as the (timestamp text, stance) pairs of records."""
+    return [(format_timestamp(ts), stance) for ts, stance in items]
 
 
 def test_timeseries_fills_month_gaps():
@@ -43,7 +49,7 @@ def test_timeseries_fills_month_gaps():
 
 
 def test_timeseries_zero_pads_years_below_1000():
-    items = [(datetime(999, 12, 31, 23), S), (datetime(1000, 1, 1), O)]
+    items = [("0999-12-31T23:00:00", S), ("1000-01-01T00:00:00", O)]
     assert timeseries(items, "month") == [TimeBucket("0999-12", 1, 0), TimeBucket("1000-01", 0, 1)]
     assert timeseries(items, "day") == [
         TimeBucket("0999-12-31", 1, 0),
@@ -52,11 +58,11 @@ def test_timeseries_zero_pads_years_below_1000():
 
 
 def test_timeseries_day_granularity():
-    items = [(datetime(2013, 2, 27), S), (datetime(2013, 3, 1), O)]
+    items = [("2013-02-27T00:00:00", S), ("2013-03-01T00:00:00", O)]
     buckets = timeseries(items, "day")
     assert [b.period for b in buckets] == ["2013-02-27", "2013-02-28", "2013-03-01"]
     # the last representable day is a bucket too
-    last = [(datetime(9999, 12, 30), S), (datetime(9999, 12, 31, 23, 59, 59), O)]
+    last = [("9999-12-30T00:00:00", S), ("9999-12-31T23:59:59", O)]
     assert timeseries(last, "day") == [TimeBucket("9999-12-30", 1, 0),
                                        TimeBucket("9999-12-31", 0, 1)]
 
@@ -75,7 +81,7 @@ def test_timeseries_empty_and_bad_granularity():
     max_size=60,
 ))
 def test_timeseries_conserves_counts(items):
-    buckets = timeseries(items, "month")
+    buckets = timeseries(texts(items), "month")
     total = sum(b.count_support + b.count_oppose for b in buckets)
     assert total == len(items)
     assert [b.period for b in buckets] == sorted(b.period for b in buckets)
@@ -106,9 +112,11 @@ def dated_stances(draw):
 
 @given(dated_stances(), st.sampled_from(GRANULARITIES))
 def test_timeseries_matches_the_string_keyed_reference(items, granularity):
+    items = texts(items)
     buckets = timeseries(items, granularity)
     assert [(b.period, b.count_support, b.count_oppose) for b in buckets] == (
-        reference_timeseries(items, granularity))
+        reference_timeseries([(reference_parse_timestamp(text), stance) for text, stance in items],
+                             granularity))
 
 
 def test_timeseries_csv_uses_log_counts():

@@ -25,6 +25,7 @@ from tcm_stance.resources import (
     load_resources,
     load_tag_lexicon,
     load_term_list,
+    read_lines,
 )
 from tcm_stance.stance import Stance
 from tcm_stance.svm import load_model
@@ -93,6 +94,16 @@ def test_load_term_list(tmp_path):
     path = tmp_path / "terms.txt"
     path.write_text("# comment\n中医\n\n 爱好 \n中医\n", encoding="utf-8")
     assert tuple(load_term_list(path)) == ("中医", "爱好")
+
+
+def test_read_lines_skips_lines_of_unicode_whitespace_only(tmp_path):
+    """U+3000, U+0085, U+2028 and the other characters ``str.strip``
+    removes make a line blank; inside a line they are kept."""
+    path = tmp_path / "lines.txt"
+    blanks = ["\u3000", "\u0085", "\u2028", "\x1c", " \t\u3000\r", "\r", ""]
+    path.write_text("a\n" + "".join(f"{blank}\n" for blank in blanks) + "b\u2028c\u3000\n",
+                    encoding="utf-8", newline="")
+    assert list(read_lines(path)) == [(1, "a"), (len(blanks) + 2, "b\u2028c\u3000")]
 
 
 def test_load_term_list_rejects_bad_encoding(tmp_path):

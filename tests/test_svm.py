@@ -305,6 +305,15 @@ def test_an_out_of_range_index_in_a_repeated_vector_is_still_rejected(problem, d
         solve_dual(data, cfg, n_features, fit_bias=fit_bias)
 
 
+@pytest.mark.parametrize("fit_bias", [True, False])
+def test_a_non_finite_margin_stops_training(fit_bias):
+    """Whichever example comes first, its margin is 0.0 * inf, a NaN, which
+    the solver refuses rather than skipping as a zero-gradient visit."""
+    data = [(SparseVector((0,), (math.inf,)), 1), (SparseVector((0,), (math.inf,)), -1)]
+    with pytest.raises(FloatingPointError, match="non-finite gradient during training"):
+        solve_dual(data, UNWEIGHTED, 1, fit_bias=fit_bias)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(dual_problems(), repetitive_problems()),
        st.one_of(st.none(), st.integers(1, 6)))

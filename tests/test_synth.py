@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import re
-from datetime import datetime
 
 import pytest
 
-from tcm_stance.corpus import load_tweets, load_users, split_retweets
+from tcm_stance.corpus import canonical_timestamp, load_tweets, load_users, split_retweets
 from tcm_stance.preprocess import preprocess_tweet
 from tcm_stance.resources import ResourceFormatError
 from tcm_stance.stance import Stance
@@ -44,9 +43,11 @@ def test_corpus_shape():
 
 def test_timestamps_stay_in_the_window():
     corpus = generate(SMALL)
-    lo = datetime(2013, 1, 1)
-    hi = datetime(2014, 3, 1)  # 14 months on
+    lo = "2013-01-01T00:00:00"
+    hi = "2014-03-01T00:00:00"  # 14 months on
     for t in split_retweets(corpus.tweets):
+        # canonical text orders as its time does
+        assert canonical_timestamp(t.created_at) == t.created_at
         assert lo <= t.created_at < hi
 
 
