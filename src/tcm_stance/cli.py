@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import evaluation, reports, svm, synth
 from .config import (
-    KEY_PARSERS,
     PipelineConfig,
     build_config,
     field_parsers,
@@ -43,7 +42,6 @@ from .features import (
     vectorize,
 )
 from .preprocess import (
-    document_fields,
     iter_documents,
     preprocess_tweet,
     read_documents,
@@ -70,14 +68,10 @@ def _warn_unconverged(fits: Sequence[svm.TrainMeta], cfg: svm.TrainConfig) -> No
 # ---------------------------------------------------------------------------
 # settings flags
 
-# settings dataclass -> its fields' value parsers
-_FIELD_PARSERS = {PipelineConfig: KEY_PARSERS, SynthConfig: field_parsers(SynthConfig)}
-
-
 def _add_field_flags(parser: argparse.ArgumentParser, cls: type) -> None:
     """One flag per field of the settings dataclass ``cls``:
     ``--<name with _ written as ->``, which reads None when not given."""
-    parsers = _FIELD_PARSERS[cls]
+    parsers = field_parsers(cls)
     for f in fields(cls):
         flag = "--" + f.name.replace("_", "-")
         text = " ".join(filter(None, (f.metadata.get("help"), f"(default {f.default})")))
@@ -90,7 +84,7 @@ def _add_field_flags(parser: argparse.ArgumentParser, cls: type) -> None:
 
 def _given_flags(args: argparse.Namespace, cls: type) -> dict[str, object]:
     """The values of the flags of ``cls``'s fields that were given."""
-    return {key: value for key in _FIELD_PARSERS[cls] if (value := getattr(args, key)) is not None}
+    return {key: value for key in field_parsers(cls) if (value := getattr(args, key)) is not None}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -323,8 +317,7 @@ def cmd_predict(args: argparse.Namespace) -> None:
     # refused document leaves no output file
     out = bytearray()
     n_docs = n_support = 0
-    # each record is checked as a Document is, but only its fields are kept
-    for tweet_id, user_id, created_at, tokens, _ in iter_documents(args.docs, document_fields):
+    for tweet_id, user_id, created_at, tokens, _ in iter_documents(args.docs):
         stance, margin = svm.score(weights, presence_columns(tokens, index))
         n_docs += 1
         n_support += stance is Stance.SUPPORTING

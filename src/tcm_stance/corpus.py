@@ -84,10 +84,8 @@ def timestamp_date(text: str) -> date:
 
 def format_timestamp(value: datetime) -> str:
     """Zero-padded ``YYYY-MM-DDTHH:MM:SS``, four-digit year included, plus
-    the UTC offset of an aware value: ``isoformat(timespec="seconds")``.
-    Without microseconds a bare ``isoformat()`` gives the same text and
-    skips parsing a keyword."""
-    return value.isoformat(timespec="seconds") if value.microsecond else value.isoformat()
+    the UTC offset of an aware value."""
+    return value.isoformat(timespec="seconds")
 
 
 def unsafe_id(value: str) -> bool:

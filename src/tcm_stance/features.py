@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -128,12 +128,13 @@ class FeatureSet:
     term → column index lookup."""
 
     terms: tuple[SelectedTerm, ...]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for t in self.terms:
             _check_term(t.term)
         object.__setattr__(self, "index", {t.term: i for i, t in enumerate(self.terms)})
-        if len(self.index) != len(self.terms):  # type: ignore[attr-defined]
+        if len(self.index) != len(self.terms):
             raise ValueError("duplicate terms in feature set")
 
     def __len__(self) -> int:
@@ -225,8 +226,7 @@ def presence_columns(tokens: Iterable[str], index: Mapping[str, int]) -> tuple[i
 
 
 def vectorize(doc: Document, feature_set: FeatureSet) -> SparseVector:
-    index = feature_set.index  # type: ignore[attr-defined]
-    return SparseVector(presence_columns(doc.tokens, index))
+    return SparseVector(presence_columns(doc.tokens, feature_set.index))
 
 
 # ---------------------------------------------------------------------------

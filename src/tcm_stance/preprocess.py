@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .corpus import Tweet, canonical_timestamp, check_id, decode_line
 from .resources import Resources, TermList, located
@@ -144,13 +144,10 @@ class SharedStrings(dict):
         return text
 
 
-DocumentFields = tuple[str, str, str, tuple[str, ...], Optional[Stance]]
-
-
-def document_fields(obj: object, strings: SharedStrings) -> DocumentFields:
-    """Check one decoded record and return its fields in ``Document``'s
-    order.  The user id and each token become their shared string in
-    ``strings``, which checks each distinct token."""
+def document_from_obj(obj: object, strings: SharedStrings) -> Document:
+    """Check one decoded record and return its Document.  The user id and
+    each token become their shared string in ``strings``, which checks each
+    distinct token."""
     if not isinstance(obj, dict):
         raise ValueError("document record must be a JSON object")
     tweet_id = check_id("tweet_id", obj.get("tweet_id"))
@@ -163,13 +160,8 @@ def document_fields(obj: object, strings: SharedStrings) -> DocumentFields:
     except TypeError:  # an unhashable token: a list or an object
         raise ValueError(_BAD_TOKENS) from None
     label = obj.get("label")
-    return (tweet_id, strings[user_id], canonical_timestamp(obj.get("created_at")), tokens,
-            None if label is None else Stance.from_wire(label))
-
-
-def document_from_obj(obj: object, strings: SharedStrings) -> Document:
-    """The Document of one decoded record, checked by ``document_fields``."""
-    return Document._make(document_fields(obj, strings))
+    return Document._make((tweet_id, strings[user_id], canonical_timestamp(obj.get("created_at")),
+                           tokens, None if label is None else Stance.from_wire(label)))
 
 
 def write_documents(path: str | Path, docs: Iterable[Document]) -> int:
@@ -189,26 +181,16 @@ def write_documents(path: str | Path, docs: Iterable[Document]) -> int:
     return count
 
 
-_Record = TypeVar("_Record")
-
-
-def iter_documents(path: str | Path,
-                   record: Callable[[object, SharedStrings], _Record] = document_from_obj,
-                   ) -> Iterator[_Record]:
-    """Stream the documents of a documents file, each built by ``record``
-    from its decoded object (``document_fields`` gives the checked fields
-    without a Document); a bad record stops the stream with ``path:line``."""
+def iter_documents(path: str | Path) -> Iterator[Document]:
+    """Stream the documents of a documents file (``document_from_obj``); a
+    bad record stops the stream with ``path:line``."""
     # decoding gives every occurrence its own str; one per distinct token
     # and user id holds a labeled set in about half the memory
     strings = SharedStrings()
     with located(path) as lines:
         for line in lines:
-            yield record(decode_line(line), strings)
+            yield document_from_obj(decode_line(line), strings)
 
 
 def read_documents(path: str | Path) -> list[Document]:
     return list(iter_documents(path))
-
-
-def relabel(doc: Document, label: Optional[Stance]) -> Document:
-    return Document(doc.tweet_id, doc.user_id, doc.created_at, doc.tokens, label)

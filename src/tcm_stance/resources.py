@@ -58,12 +58,22 @@ class TermList:
     """Ordered set of non-empty, whitespace-trimmed terms with O(1) membership."""
 
     terms: tuple[str, ...]
+    # the terms as a frozenset, for membership tests in hot loops without a
+    # Python-level ``__contains__`` call per test
+    members: frozenset[str] = field(init=False, repr=False, compare=False)
+    # token -> whether a stopword filter over this list keeps it: False for
+    # a term or an ``is_noise_token``, True otherwise; each distinct token is
+    # judged once and remembered with the list
+    kept: Mapping[str, bool] = field(init=False, repr=False, compare=False)
+    # the distinct lengths above 1 of the terms starting with each character,
+    # longest first; characters with no such term are absent.  The segmenter
+    # never probes length 1, since a one-character term and its
+    # single-character fallback are the same token
+    lengths_by_first_char: Mapping[str, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen = set()
-        # first character -> lengths of its terms longer than one character;
-        # the segmenter never probes length 1, since a one-character term
-        # and its single-character fallback are the same token
         lengths: dict[str, set[int]] = {}
         for term in self.terms:
             if not isinstance(term, str) or not term or term != term.strip():
@@ -73,9 +83,10 @@ class TermList:
             seen.add(term)
             if len(term) > 1:
                 lengths.setdefault(term[0], set()).add(len(term))
-        object.__setattr__(self, "_index", frozenset(self.terms))
-        object.__setattr__(self, "_kept", _Kept(self._index))  # type: ignore[attr-defined]
-        object.__setattr__(self, "_lengths", {
+        members = frozenset(self.terms)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "kept", _Kept(members))
+        object.__setattr__(self, "lengths_by_first_char", {
             first: tuple(sorted(sizes, reverse=True)) for first, sizes in lengths.items()})
 
     @classmethod
@@ -89,32 +100,13 @@ class TermList:
         return cls(tuple(cleaned))
 
     def __contains__(self, term: object) -> bool:
-        return term in self._index  # type: ignore[attr-defined]
-
-    @property
-    def members(self) -> frozenset[str]:
-        """The terms as a frozenset, for membership tests in hot loops
-        without a Python-level ``__contains__`` call per test."""
-        return self._index  # type: ignore[attr-defined]
-
-    @property
-    def kept(self) -> Mapping[str, bool]:
-        """token -> whether a stopword filter over this list keeps it: False
-        for a term or an ``is_noise_token``, True otherwise.  Each distinct
-        token is judged once and remembered with the list."""
-        return self._kept  # type: ignore[attr-defined]
+        return term in self.members
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.terms)
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    @property
-    def lengths_by_first_char(self) -> Mapping[str, tuple[int, ...]]:
-        """The distinct lengths above 1 of the terms starting with each
-        character, longest first; characters with no such term are absent."""
-        return self._lengths  # type: ignore[attr-defined]
 
 
 # tag → stance; exact string match against profile tags

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .corpus import UserProfile
-from .preprocess import Document, relabel
+from .preprocess import Document
 from .resources import TagLexicon, TermList
 from .stance import Stance
 
@@ -82,7 +82,7 @@ def label_corpus(
     for doc in docs:
         stance = stances.get(doc.user_id)
         if stance is None:
-            remainder.append(doc if doc.label is None else relabel(doc, None))
+            remainder.append(doc if doc.label is None else doc._replace(label=None))
         else:
-            labeled.append(relabel(doc, stance))
+            labeled.append(doc._replace(label=stance))
     return LabeledDataset(tuple(labeled)), remainder

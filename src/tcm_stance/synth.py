@@ -18,7 +18,14 @@ from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
-from .corpus import Tweet, UserProfile, format_timestamp, write_tweets_jsonl, write_users_jsonl
+from .corpus import (
+    Tweet,
+    UserProfile,
+    check_id,
+    format_timestamp,
+    write_tweets_jsonl,
+    write_users_jsonl,
+)
 from .resources import SEARCH_TAGS_PATH, DEFAULT_PATHS, load_tag_lexicon, load_term_list, located
 from .stance import Stance
 
@@ -160,7 +167,8 @@ def read_gold(path: str | Path) -> dict[str, Stance]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError("expected 'tweet_id<TAB>stance'")
-            if parts[0] in gold:
-                raise ValueError(f"duplicate tweet_id {parts[0]!r}")
-            gold[parts[0]] = Stance.from_wire(parts[1])
+            tweet_id = check_id("tweet_id", parts[0])
+            if tweet_id in gold:
+                raise ValueError(f"duplicate tweet_id {tweet_id!r}")
+            gold[tweet_id] = Stance.from_wire(parts[1])
     return gold

@@ -169,6 +169,10 @@ def test_select_features_clamps_k():
 def test_feature_set_index_and_duplicates():
     fs = select_features(_stats_corpus(), 3)
     assert fs.index == {"a": 0, "b": 1, "y": 2}
+    same = FeatureSet(fs.terms)
+    object.__setattr__(same, "index", {})
+    assert same == fs and hash(same) == hash(fs)
+    assert repr(fs) == f"FeatureSet(terms={fs.terms!r})"
     with pytest.raises(ValueError):
         FeatureSet((
             SelectedTerm("x", 1.0, Stance.SUPPORTING),

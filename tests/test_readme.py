@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import tcm_stance
 from tcm_stance.cli import main
 from tcm_stance.config import PipelineConfig, build_config, parse_config_file
 
@@ -36,3 +39,27 @@ def test_quick_start_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+_FILE_EXTENSIONS = {"tsv", "jsonl", "csv", "txt", "svg"}
+
+
+def test_named_code_exists():
+    """Every backticked ``module.name`` or ``module.name.attr`` whose module
+    is one of the package's (``tcm_stance.`` written or not) resolves; a file
+    name such as ``features.tsv`` is skipped by its extension."""
+    modules = {info.name for info in pkgutil.iter_modules(tcm_stance.__path__)}
+    checked, missing = [], []
+    for ref in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*){1,3})`", README.read_text("utf-8")):
+        module, *names = ref.removeprefix("tcm_stance.").split(".")
+        if module not in modules or not names or names[-1] in _FILE_EXTENSIONS:
+            continue
+        checked.append(ref)
+        obj = importlib.import_module(f"tcm_stance.{module}")
+        for name in names:
+            if not hasattr(obj, name):
+                missing.append(ref)
+                break
+            obj = getattr(obj, name)
+    assert checked
+    assert missing == []

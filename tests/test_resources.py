@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import random
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,13 @@ def test_term_list_of_normalizes():
     assert "中医" in tl
     assert "养生" not in tl
     assert len(tl) == 2
+    # the derived fields are neither compared, hashed nor shown
+    same = TermList(("中医", "爱好"))
+    assert same.kept["养生"]  # remembered by one list's keep map only
+    assert tl == same and hash(tl) == hash(same)
+    assert tl != TermList(("爱好", "中医"))
+    assert repr(tl) == "TermList(terms=('中医', '爱好'))"
+    assert [f.name for f in fields(tl) if f.compare] == ["terms"]
 
 
 def test_term_list_lengths_per_first_character():

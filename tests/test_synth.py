@@ -109,6 +109,14 @@ def test_read_gold_refuses_a_repeated_tweet_id(tmp_path):
     assert str(refused.value) == f"{path}:3: duplicate tweet_id 't1'"
 
 
+def test_read_gold_refuses_an_empty_tweet_id(tmp_path):
+    path = tmp_path / "gold.tsv"
+    path.write_text("t1\tsupport\n\toppose\n", encoding="utf-8")
+    with pytest.raises(ResourceFormatError) as refused:
+        read_gold(path)
+    assert str(refused.value) == f"{path}:2: missing or empty tweet_id"
+
+
 def test_write_corpus_is_byte_deterministic(tmp_path):
     a = write_corpus(generate(SMALL), tmp_path / "a")
     b = write_corpus(generate(SMALL), tmp_path / "b")
