@@ -155,7 +155,7 @@ def _write_report(args: argparse.Namespace, rows: list[list[str]],
 
 def _read_labeled_dataset(path: Path) -> LabeledDataset:
     docs = read_documents(path)
-    with located(path, ()):
+    with located(path):
         return LabeledDataset(tuple(docs))
 
 
@@ -193,7 +193,7 @@ def cmd_label(args: argparse.Namespace) -> None:
     users, skipped = load_users(args.users)
     users = dedupe_users(users)
     on_topic = filter_topic(docs, resources.terminology)
-    with located(args.docs, ()):
+    with located(args.docs):
         dataset, remainder = label_corpus(on_topic, users, resources.tag_lexicon)
     write_documents(args.out, dataset.documents)
     if args.remainder:

@@ -75,8 +75,8 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
     may appear once, and its value is parsed on its line."""
     values: dict[str, object] = {}
     first_line: dict[str, int] = {}
-    with resources.located(path, resources._data_rows(path)) as lines:
-        for line in lines:
+    with resources.located(path) as lines:
+        for line in resources._data_lines(lines):
             if "=" not in line:
                 raise ValueError("expected 'key = value'")
             key, _, value = line.partition("=")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,12 +115,15 @@ class SelectedTerm:
     direction: Stance  # class the term's presence is positively associated with
 
 
-def _check_term(term: str) -> None:
+def _check_term(t: SelectedTerm) -> None:
     """Refuse a term that a features.tsv line cannot hold: an empty one, or
-    one with a tab, CR, LF or lone surrogate (the ``unsafe_id`` rule)."""
-    if not term or unsafe_id(term):
-        raise ValueError(f"term {term!r} is empty or contains a tab, a line break "
+    one with a tab, CR, LF or lone surrogate (the ``unsafe_id`` rule); and a
+    score no chi-square selection gives: one not a finite number >= 0."""
+    if not t.term or unsafe_id(t.term):
+        raise ValueError(f"term {t.term!r} is empty or contains a tab, a line break "
                          "or a lone surrogate")
+    if not 0.0 <= t.score < math.inf:
+        raise ValueError("score must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -132,7 +136,7 @@ class FeatureSet:
 
     def __post_init__(self) -> None:
         for t in self.terms:
-            _check_term(t.term)
+            _check_term(t)
         object.__setattr__(self, "index", {t.term: i for i, t in enumerate(self.terms)})
         if len(self.index) != len(self.terms):
             raise ValueError("duplicate terms in feature set")
@@ -253,12 +257,11 @@ def load_feature_set(path: str | Path) -> FeatureSet:
                 raise ValueError("expected 4 tab-separated fields")
             rank_s, term, score_s, direction_s = parts
             rank = int(rank_s)
-            score = float(score_s)
-            direction = Stance.from_wire(direction_s)
-            _check_term(term)
+            selected = SelectedTerm(term, float(score_s), Stance.from_wire(direction_s))
+            _check_term(selected)
             if rank != len(terms) + 1:
                 raise ValueError("ranks must be consecutive from 1")
             if term in terms:
                 raise ValueError(f"duplicate term {term!r}")
-            terms[term] = SelectedTerm(term, score, direction)
+            terms[term] = selected
     return FeatureSet(tuple(terms.values()))

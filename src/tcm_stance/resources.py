@@ -134,28 +134,24 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise ResourceFormatError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
 
 
-def _data_rows(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (line number, stripped line), skipping # comments."""
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if not line.startswith("#"):
-            yield lineno, line
+def _data_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The stripped lines that are not # comments."""
+    return (line for line in map(str.strip, lines) if not line.startswith("#"))
 
 
 class located(AbstractContextManager):
-    """Lines of a strict file, or given (line number, line) ``rows`` of it,
-    for a ``with`` block that refuses a bad one: a ValueError or
-    RecursionError raised there becomes a ResourceFormatError that reads
-    "path:line: message", ``lineno`` being the line last handed out, or
-    "path: message" before the first.  A ResourceFormatError passes through."""
+    """Lines of a strict file, for a ``with`` block that refuses a bad one: a
+    ValueError or RecursionError raised there becomes a ResourceFormatError
+    that reads "path:line: message", ``lineno`` being the line last handed
+    out, or "path: message" before the first.  A ResourceFormatError passes
+    through."""
 
-    def __init__(self, path: str | Path, rows: Iterable[tuple[int, str]] | None = None) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = path
-        self.rows = rows
         self.lineno: int | None = None
 
     def __iter__(self) -> Iterator[str]:
-        for self.lineno, line in read_lines(self.path) if self.rows is None else self.rows:
+        for self.lineno, line in read_lines(self.path):
             yield line
 
     def __exit__(self, exc_type: type | None, exc: BaseException | None, tb: object) -> None:
@@ -165,13 +161,14 @@ class located(AbstractContextManager):
 
 
 def load_term_list(path: str | Path) -> TermList:
-    return TermList.of(line for _, line in _data_rows(path))
+    with located(path) as lines:
+        return TermList.of(_data_lines(lines))
 
 
 def load_tag_lexicon(path: str | Path) -> TagLexicon:
     lexicon: TagLexicon = {}
-    with located(path, _data_rows(path)) as lines:
-        for line in lines:
+    with located(path) as lines:
+        for line in _data_lines(lines):
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
                 raise ValueError("expected 'tag<TAB>stance'")
@@ -184,8 +181,8 @@ def load_tag_lexicon(path: str | Path) -> TagLexicon:
 
 def load_char_map(path: str | Path) -> CharMap:
     cmap: CharMap = {}
-    with located(path, _data_rows(path)) as lines:
-        for line in lines:
+    with located(path) as lines:
+        for line in _data_lines(lines):
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError("expected 'char<TAB>char'")

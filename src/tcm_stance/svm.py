@@ -57,19 +57,19 @@ from itertools import filterfalse
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .corpus import check_id
 from .features import SparseVector
-from .resources import located, read_lines
+from .resources import located
 from .stance import Stance
 
 _MODEL_HEADER = "stance-svm v2"
-# header line -> the "key value" lines that follow it, in file order
-_MODEL_KEYS = {
-    "stance-svm v1": ("K", "C", "wi", "seed", "digest"),
-    _MODEL_HEADER: ("K", "C", "wi", "seed", "digest", "epochs", "violation"),
-}
-# header key -> parser of its value
-_MODEL_VALUES = {"K": int, "C": float, "wi": float, "seed": int, "digest": str,
+# header key -> parser of its value, in file order; a digest follows the
+# documents id rule, or is empty when the model is tied to no feature file
+_MODEL_VALUES = {"K": int, "C": float, "wi": float, "seed": int,
+                 "digest": lambda text: text and check_id("digest", text),
                  "epochs": int, "violation": float}
+# header line -> the "key value" lines that follow it; v1 lacks the last two
+_MODEL_KEYS = {"stance-svm v1": tuple(_MODEL_VALUES)[:5], _MODEL_HEADER: tuple(_MODEL_VALUES)}
 
 
 @dataclass(frozen=True)
@@ -483,28 +483,26 @@ def _header_value(line: str, key: str) -> str:
 def load_model(path: str | Path) -> Model:
     """Read a saved model, v2 or v1.  A v1 file stores no convergence record,
     so its model reports 0 epochs and a nan violation.  Every error names the
-    file, and the line where there is one."""
-    rows = list(read_lines(path))
-    with located(path, rows[:1]) as lines:
-        header = next(iter(lines), "")
+    file, and the line unless the file is empty."""
+    with located(path) as lines:
+        rows = iter(lines)
+        header = next(rows, "")
         if header not in _MODEL_KEYS:
             raise ValueError(f"not a model file (bad header {header!r})")
-    keys = _MODEL_KEYS[header]
-    if len(rows) < len(keys) + 2:
-        raise ValueError(f"{path}: model file truncated")
-    with located(path, rows[1:len(keys) + 1]) as lines:
-        head = {key: _MODEL_VALUES[key](_header_value(line, key)) for key, line in zip(keys, lines)}
-    k = head["K"]
-    weight_rows = rows[len(keys) + 1:]
-    if len(weight_rows) != k + 1:
-        raise ValueError(f"{path}: expected {k + 1} weights, found {len(weight_rows)}")
-    weights = []
-    with located(path, weight_rows) as lines:
-        for line in lines:
+        head = {key: _MODEL_VALUES[key](_header_value(line, key))
+                for key, line in zip(_MODEL_KEYS[header], rows)}
+        weights: list[float] = []
+        for line in rows:  # none left when a key line is missing
+            if len(weights) > head["K"]:
+                raise ValueError(f"expected {head['K'] + 1} weights, found more")
             weight = float(line)
             if not math.isfinite(weight):
                 raise ValueError(f"non-finite weight {line!r}")
             weights.append(weight)
+        if not weights:
+            raise ValueError("model file truncated")
+        if len(weights) != head["K"] + 1:
+            raise ValueError(f"expected {head['K'] + 1} weights, found {len(weights)}")
     meta = TrainMeta(head["C"], head["wi"], head["seed"],
                      head.get("epochs", 0), head.get("violation", math.nan))
     return Model(tuple(weights), head["digest"], meta)

@@ -282,6 +282,29 @@ def test_load_feature_set_names_the_line_of_an_unsavable_term(tmp_path, term):
         load_feature_set(path)
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e400", "-1.5", "-0.000001"])
+def test_load_feature_set_names_the_line_of_a_score_no_selection_gives(tmp_path, score):
+    path = tmp_path / "features.tsv"
+    path.write_text(f"1\t疗效\t2.0\tsupport\n2\t骗局\t{score}\toppose\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: score must be a finite number >= 0") + "$"):
+        load_feature_set(path)
+
+
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), -1.5, -5e-324])
+def test_feature_set_refuses_a_score_no_selection_gives(tmp_path, score):
+    with pytest.raises(ValueError, match=re.escape("score must be a finite number >= 0") + "$"):
+        save_feature_set(tmp_path / "features.tsv",
+                         FeatureSet((SelectedTerm("疗效", score, Stance.SUPPORTING),)))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_zero_score_of_either_sign_loads(tmp_path):
+    path = tmp_path / "features.tsv"
+    path.write_text("1\t疗效\t0.000000\tsupport\n2\t骗局\t-0.000000\toppose\n", encoding="utf-8")
+    assert [t.score for t in load_feature_set(path).terms] == [0.0, 0.0]
+
+
 def test_random_corpora_match_oracle_end_to_end():
     rng = random.Random(411)
     vocab = [f"w{i}" for i in range(12)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import random
 from dataclasses import fields
 from pathlib import Path
@@ -26,6 +27,7 @@ from tcm_stance.resources import (
     load_resources,
     load_tag_lexicon,
     load_term_list,
+    located,
     read_lines,
 )
 from tcm_stance.stance import Stance
@@ -229,6 +231,22 @@ def test_only_the_locator_formats_a_line_number():
             continue
         for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
             if isinstance(node, ast.FormattedValue) and "lineno" in ast.unparse(node.value):
+                offenders.append(f"{source.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_every_strict_file_is_read_in_one_located_pass():
+    """``located`` takes a path and nothing else, and ``svm`` reads its model
+    through it alone: no ``read_lines`` call, no message it locates itself."""
+    assert list(inspect.signature(located).parameters) == ["path"]
+    offenders = []
+    for source in sorted(Path(tcm_stance.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            called = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
+            if called == "located" and len(node.args) + len(node.keywords) != 1:
+                offenders.append(f"{source.name}:{node.lineno}")
+            if source.name == "svm.py" and (called == "read_lines" or (
+                    isinstance(node, ast.JoinedStr) and "{path}" in ast.unparse(node))):
                 offenders.append(f"{source.name}:{node.lineno}")
     assert offenders == []
 

@@ -552,14 +552,21 @@ def test_model_file_rejects_corruption(tmp_path):
 @pytest.mark.parametrize("edit, where, message", [
     (lambda lines: ["stance-svm v9"] + lines[1:], ":1", "not a model file (bad header 'stance-svm v9')"),
     (lambda lines: [], "", "not a model file (bad header '')"),
-    (lambda lines: lines[:3], "", "model file truncated"),
+    (lambda lines: lines[:3], ":3", "model file truncated"),
     (lambda lines: lines[:2] + ["C=1"] + lines[3:], ":3", "expected 'C ...' line, got 'C=1'"),
     (lambda lines: lines[:1] + ["K two"] + lines[2:], ":2",
      "invalid literal for int() with base 10: 'two'"),
-    (lambda lines: lines[:-1], "", "expected 2 weights, found 1"),
+    (lambda lines: lines[:-1], ":9", "expected 2 weights, found 1"),
+    (lambda lines: lines + ["0.5"], ":11", "expected 2 weights, found more"),
+    (lambda lines: lines[:1] + ["K -1"] + lines[2:8], ":8", "model file truncated"),
+    (lambda lines: lines[:5] + ["digest"] + lines[6:], ":6",
+     "expected 'digest ...' line, got 'digest'"),
+    (lambda lines: lines[:5] + ["digest d\te"] + lines[6:], ":6",
+     "digest contains a tab, a line break or a lone surrogate"),
     (lambda lines: lines[:8] + ["x"] + lines[9:], ":9", "could not convert string to float: 'x'"),
     (lambda lines: lines[:-1] + ["nan"], ":10", "non-finite weight 'nan'"),
-], ids=["header", "empty", "truncated", "key", "value", "count", "weight", "non-finite"])
+], ids=["header", "empty", "truncated", "key", "value", "count", "surplus", "negative-K",
+        "bare-digest", "unsafe-digest", "weight", "non-finite"])
 def test_model_file_errors_name_the_file_and_line(tmp_path, edit, where, message):
     path = tmp_path / "model.txt"
     save_model(path, train(two_points(), UNWEIGHTED, 1))
