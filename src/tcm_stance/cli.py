@@ -58,7 +58,10 @@ def _info(message: str) -> None:
 
 
 def _warn_unconverged(fits: Sequence[svm.TrainMeta], cfg: svm.TrainConfig) -> None:
-    """One warning line when any fit stopped at max_epochs above tolerance."""
+    """One warning line when any fit stopped at max_epochs above tolerance.
+    Settings that share a fit share its TrainMeta, so a fit is counted once
+    by identity: two different fits can hold equal values."""
+    fits = list({id(m): m for m in fits}.values())
     stuck = [m.final_violation for m in fits if not m.final_violation < cfg.tolerance]
     if stuck:
         _info(f"warning: {len(stuck)} of {len(fits)} fits stopped at max_epochs "
@@ -252,8 +255,9 @@ _AXIS_BY_FLAG = {"k": "feature_count", "wi": "wi", "gamma": "gamma_min"}
 MAX_SWEEP_VALUES = 1000
 
 
-def parse_sweep_values(spec: str, axis: str) -> list[float]:
-    """Comma lists ("0.1,0.5,1") or inclusive ranges ("0.1..1.0:0.1")."""
+def parse_sweep_values(spec: str) -> list[float]:
+    """Comma lists ("0.1,0.5,1") or inclusive ranges ("0.1..1.0:0.1"), in
+    spec order; the rules on the values are ``evaluation.sweep_values``'s."""
     spec = spec.strip()
     values: list[float] = []
     if ".." in spec:
@@ -277,25 +281,13 @@ def parse_sweep_values(spec: str, axis: str) -> list[float]:
         values = [float(part) for part in spec.split(",") if part.strip()]
         if not all(map(math.isfinite, values)):
             raise ValueError("sweep values must be finite numbers")
-    if not values:
-        raise ValueError("no sweep values given")
-    seen: set[float] = set()
-    for v in values:
-        if v in seen:
-            shown = str(int(v)) if v.is_integer() else repr(v)
-            raise ValueError(f"sweep values must be distinct: {shown} is given more than once")
-        seen.add(v)
-    if axis == "feature_count":
-        for v in values:
-            if int(v) != v:
-                raise ValueError("k axis values must be integers")
     return values
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
     cfg = _resolve_config(args)
     axis = _AXIS_BY_FLAG[args.axis]
-    values = parse_sweep_values(args.values, axis)
+    values = evaluation.sweep_values(axis, parse_sweep_values(args.values))
     dataset = _read_labeled_dataset(args.labeled)
     train_cfg = cfg.train_config()
     rows = evaluation.sweep(dataset, axis, values, feature_count=cfg.K, cfg=train_cfg,
@@ -303,9 +295,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     _write_report(args, evaluation.metrics_csv_rows(rows),
                   lambda: reports.sweep_chart(rows, args.axis))
     _info(f"sweep: axis {args.axis}, {len(rows)} settings -> {args.out}")
-    # gamma_min rows all share one run's fits
-    runs = rows[:1] if axis == "gamma_min" else rows
-    _warn_unconverged([m for row in runs for m in row.fits], train_cfg)
+    _warn_unconverged([m for row in rows for m in row.fits], train_cfg)
 
 
 def cmd_predict(args: argparse.Namespace) -> None:

@@ -290,6 +290,27 @@ class SweepRow(tuple):
         return row
 
 
+def sweep_values(axis: str, values: Iterable[float]) -> list[float]:
+    """The values of a sweep along ``axis``, as floats in ascending order.
+    Every rule on sweep values is checked here, for the command line and the
+    library alike: at least one value, no value twice, whole feature counts
+    >= 1, and gamma_min values in [0.5, 1.0]."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {SWEEP_AXES}")
+    vals = sorted(map(float, values))
+    if not vals:
+        raise ValueError("no sweep values given")
+    for prev, v in zip(vals, vals[1:]):
+        if v == prev:
+            raise ValueError(
+                f"sweep values must be distinct: {format_axis_value(v)} is given more than once")
+    if axis == "feature_count" and not all(v >= 1 and v.is_integer() for v in vals):
+        raise ValueError("feature_count values must be positive integers")
+    if axis == "gamma_min" and not all(0.5 <= v <= 1.0 for v in vals):
+        raise ValueError("gamma_min values must be in [0.5, 1.0]")
+    return vals
+
+
 def sweep(
     dataset: LabeledDataset,
     axis: str,
@@ -300,31 +321,19 @@ def sweep(
     k: int = 5,
     leaky_selection: bool = False,
 ) -> list[SweepRow]:
-    """One metrics row per value, rows ordered by value ascending.
+    """One metrics row per value of ``sweep_values``, rows ordered by value ascending.
 
     All rows share one fold plan.  feature_count and wi rows run it at that
     setting and score the raw classifier (no per-user adjustment); gamma_min
     rows re-adjust one ``cross_validate`` run's pooled predictions.
     """
     cfg = cfg or TrainConfig()
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}")
-    if not values:
-        raise ValueError("values must be non-empty")
-    vals = sorted(values)
-    for v in vals:
-        if axis == "gamma_min" and not 0.5 <= v <= 1.0:
-            raise ValueError("gamma_min values must be in [0.5, 1.0]")
-        if axis == "wi" and not 0 < v <= 1:
-            raise ValueError("wi values must be in (0, 1]")
-        if axis == "feature_count" and not (v >= 1 and float(v).is_integer()):
-            raise ValueError("feature_count values must be positive integers")
+    vals = sweep_values(axis, values)
     if axis == "gamma_min":
         result = cross_validate(dataset, feature_count, cfg, k, leaky_selection=leaky_selection)
         return [SweepRow(v, score_predictions(adjust(result.predictions, v), result.golds),
                          result.fits) for v in vals]
     if axis == "feature_count":
-        vals = [float(v) for v in vals]
         settings = [(int(v), cfg) for v in vals]
     else:
         settings = [(feature_count, replace(cfg, wi=v)) for v in vals]

@@ -55,7 +55,7 @@ import random
 from dataclasses import dataclass
 from itertools import filterfalse
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .corpus import check_id
 from .features import SparseVector
@@ -489,8 +489,13 @@ def load_model(path: str | Path) -> Model:
         header = next(rows, "")
         if header not in _MODEL_KEYS:
             raise ValueError(f"not a model file (bad header {header!r})")
-        head = {key: _MODEL_VALUES[key](_header_value(line, key))
-                for key, line in zip(_MODEL_KEYS[header], rows)}
+        head: dict[str, Any] = {}
+        for key, line in zip(_MODEL_KEYS[header], rows):
+            value = head[key] = _MODEL_VALUES[key](_header_value(line, key))
+            if key in ("K", "epochs", "violation") and value < 0:  # a nan violation loads
+                raise ValueError(f"{key} must be >= 0")
+            if key == "wi":  # C and wi are held to TrainConfig's own checks
+                TrainConfig(head["C"], value)
         weights: list[float] = []
         for line in rows:  # none left when a key line is missing
             if len(weights) > head["K"]:

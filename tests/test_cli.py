@@ -4,20 +4,25 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from conftest import TS, make_doc
+from conftest import TS, make_doc, separable_dataset
 from tcm_stance.cli import (
     MAX_SWEEP_VALUES,
     _resolve_config,
@@ -29,9 +34,11 @@ from tcm_stance.cli import (
 )
 from tcm_stance.config import PipelineConfig, build_config, parse_config_file
 from tcm_stance.corpus import load_tweets, split_retweets
-from tcm_stance.features import load_feature_set
+from tcm_stance.evaluation import sweep, sweep_values
+from tcm_stance.features import collect_stats, load_feature_set
 from tcm_stance.preprocess import preprocess_tweet, read_documents, write_documents
 from tcm_stance.stance import Stance
+from tcm_stance.supervision import LabeledDataset
 from tcm_stance.svm import load_model
 from tcm_stance.synth import SynthConfig, generate, read_gold, write_corpus
 
@@ -230,10 +237,13 @@ def test_trained_model_ties_to_the_feature_file(pipeline):
 
 
 def _fit_commands(pipeline, out: Path) -> list[tuple[list[str], int]]:
-    """train, cv and two sweeps on the pipeline's labeled file, each with the
-    number of fits it runs."""
+    """train, cv and three sweeps on the pipeline's labeled file, each with
+    the number of fits it runs: folds x distinct effective K x wi values."""
     labeled = str(pipeline["labeled"])
     common = ["--labeled", labeled, "--K", "60", "--k-folds", "3"]
+    # two K values past the labeled set's vocabulary reach the same effective
+    # K in every fold, so they share each fold's fit
+    vocabulary = len(collect_stats(LabeledDataset(tuple(read_documents(pipeline["labeled"])))))
     return [
         (["train", *common, "--model-out", str(out / "m.txt"),
           "--features-out", str(out / "f.tsv")], 1),
@@ -242,6 +252,8 @@ def _fit_commands(pipeline, out: Path) -> list[tuple[list[str], int]]:
           "--out", str(out / "wi.csv")], 6),
         (["sweep", "--axis", "gamma", "--values", "0.5,1.0", *common,
           "--out", str(out / "gamma.csv")], 3),
+        (["sweep", "--axis", "k", "--values", f"{vocabulary},{vocabulary + 100}", *common,
+          "--out", str(out / "k.csv")], 3),
     ]
 
 
@@ -532,17 +544,34 @@ def test_experiment_output_does_not_depend_on_the_hash_seed(tmp_path):
 
 
 def test_parse_sweep_values():
-    assert parse_sweep_values("0.1..0.3:0.1", "wi") == pytest.approx([0.1, 0.2, 0.3])
-    assert parse_sweep_values("0.5,1.0", "gamma_min") == [0.5, 1.0]
-    assert parse_sweep_values("10,20", "feature_count") == [10.0, 20.0]
-    assert parse_sweep_values("0.5..1.0:0.25", "gamma_min") == pytest.approx([0.5, 0.75, 1.0])
+    assert parse_sweep_values("0.1..0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
+    assert parse_sweep_values("0.5,1.0") == [0.5, 1.0]
+    assert parse_sweep_values("10,20") == [10.0, 20.0]
+    assert parse_sweep_values("0.5..1.0:0.25") == pytest.approx([0.5, 0.75, 1.0])
+    # the rules on the values are evaluation.sweep_values's
+    assert parse_sweep_values(" ") == []
+    assert parse_sweep_values("3000.5,10,3000.5") == [3000.5, 10.0, 3000.5]
 
 
+# a spec is refused when its text breaks a rule of parse_sweep_values, or its
+# values one of evaluation.sweep_values
 @pytest.mark.parametrize("spec", ["", "0.3..0.1:0.1", "0.1..0.3:0", "0.1..0.3:-0.1",
                                   "a,b", "1..2", "3000.5,10", "..:"])
 def test_parse_sweep_values_rejects_bad_specs(spec):
     with pytest.raises(ValueError):
-        parse_sweep_values(spec, "feature_count" if "3000" in spec else "wi")
+        sweep_values("feature_count" if "3000" in spec else "wi", parse_sweep_values(spec))
+
+
+@pytest.mark.parametrize("spec, axis, message", [
+    ("", "wi", "no sweep values given"),
+    (" , ", "gamma_min", "no sweep values given"),
+    ("3000.5,10", "feature_count", "feature_count values must be positive integers"),
+    ("0,10", "feature_count", "feature_count values must be positive integers"),
+    ("0.4..1.0:0.2", "gamma_min", "gamma_min values must be in [0.5, 1.0]"),
+])
+def test_sweep_values_refuses_what_the_parser_passes(spec, axis, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        sweep_values(axis, parse_sweep_values(spec))
 
 
 @pytest.mark.parametrize("spec, axis", [("inf", "feature_count"), ("0.5,nan", "gamma_min"),
@@ -550,7 +579,7 @@ def test_parse_sweep_values_rejects_bad_specs(spec):
                                         ("nan..1.0:0.1", "wi"), ("0.5..1.0:inf", "wi")])
 def test_parse_sweep_values_rejects_non_finite_values(spec, axis):
     with pytest.raises(ValueError, match="must be finite numbers"):
-        parse_sweep_values(spec, axis)
+        sweep_values(axis, parse_sweep_values(spec))
 
 
 @pytest.mark.parametrize("spec, axis, repeated", [
@@ -563,9 +592,12 @@ def test_parse_sweep_values_rejects_non_finite_values(spec, axis):
     ("0.5..0.5000000001:0.00000000002", "gamma_min", "0.5"),
 ])
 def test_parse_sweep_values_refuses_a_repeated_value(spec, axis, repeated):
-    # a range repeats a value when its steps collide at 10-decimal rounding
+    # a range repeats a value when its steps collide at 10-decimal rounding;
+    # the parser passes the repeat on, and evaluation.sweep_values refuses it
+    values = parse_sweep_values(spec)
+    assert len(set(values)) < len(values)
     with pytest.raises(ValueError, match=f"must be distinct: {re.escape(repeated)} is given"):
-        parse_sweep_values(spec, axis)
+        sweep_values(axis, values)
 
 
 def test_sweep_command_refuses_repeated_values_and_writes_nothing(tmp_path, capsys):
@@ -578,13 +610,41 @@ def test_sweep_command_refuses_repeated_values_and_writes_nothing(tmp_path, caps
     assert not out.exists()
 
 
+_FLAG_BY_AXIS = {"feature_count": "k", "wi": "wi", "gamma_min": "gamma"}
+
+
+@given(axis=st.sampled_from(sorted(_FLAG_BY_AXIS)),
+       values=st.lists(st.sampled_from([0.5, 0.75, 1.0, 5, 5.0, 50.0])
+                       | st.integers(-2, 60) | st.floats(-1e3, 1e4), max_size=4))
+def test_a_refused_sweep_is_refused_alike_before_the_labeled_file_is_read(axis, values):
+    """Whatever evaluation.sweep_values refuses, the sweep command refuses
+    with that one line before it opens --labeled (a missing file here), and
+    the library's sweep with the same message."""
+    try:
+        sweep_values(axis, values)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = Path(tmp) / "sweep.csv", io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["sweep", "--axis", _FLAG_BY_AXIS[axis],
+                       "--values=" + ",".join(map(repr, values)),
+                       "--labeled", str(Path(tmp) / "missing.jsonl"), "--out", str(out)])
+        assert (rc, err.getvalue()) == (1, f"error: {message}\n")
+        assert not out.exists()
+    with pytest.raises(ValueError) as refused:
+        sweep(separable_dataset(4, 1), axis, values)
+    assert str(refused.value) == message
+
+
 def test_parse_sweep_values_caps_the_range_length():
-    assert len(parse_sweep_values(f"0..{MAX_SWEEP_VALUES - 1}:1", "feature_count")) == (
-        MAX_SWEEP_VALUES)
+    assert len(parse_sweep_values(f"0..{MAX_SWEEP_VALUES - 1}:1")) == MAX_SWEEP_VALUES
     with pytest.raises(ValueError, match=f"more than {MAX_SWEEP_VALUES} values"):
-        parse_sweep_values(f"0..{MAX_SWEEP_VALUES}:1", "feature_count")
+        parse_sweep_values(f"0..{MAX_SWEEP_VALUES}:1")
     with pytest.raises(ValueError, match=f"more than {MAX_SWEEP_VALUES} values"):
-        parse_sweep_values(f"0..{MAX_SWEEP_VALUES - 0.5}:1", "feature_count")
+        parse_sweep_values(f"0..{MAX_SWEEP_VALUES - 0.5}:1")
 
 
 @pytest.mark.parametrize("spec", ["0.5..1.0:1e-12", "-1e308..1e308:1"])
@@ -594,7 +654,7 @@ def test_a_runaway_range_is_refused_before_any_list_is_built(spec):
     code = ("import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))\n"
             "from tcm_stance.cli import parse_sweep_values\n"
-            "parse_sweep_values(sys.argv[1], 'wi')\n")
+            "parse_sweep_values(sys.argv[1])\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", code, spec], env=env, capture_output=True,
                           text=True, timeout=60)

@@ -532,6 +532,18 @@ def test_sweep_validates_inputs():
             sweep(dataset, "feature_count", [value])
 
 
+def test_sweep_refuses_a_repeated_value():
+    """The library holds to the rules of the command line: two equal values
+    would give two identical rows sharing one label."""
+    dataset = separable_dataset(4, 1)
+    with pytest.raises(ValueError, match=r"^sweep values must be distinct: 0\.5 is given"):
+        sweep(dataset, "wi", [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"^sweep values must be distinct: 5 is given"):
+        sweep(dataset, "feature_count", [5, 5.0])
+    with pytest.raises(ValueError, match=r"^wi must be in \(0, 1\]$"):
+        sweep(dataset, "wi", [0.5, 2.0])
+
+
 def test_metrics_csv_shape():
     report = compute_metrics([(S, S), (O, O), (S, O)])
     rows = metrics_csv_rows([(0.5, report), (3000, report)])
@@ -555,7 +567,7 @@ def test_format_axis_value():
 def test_distinct_sweep_values_print_distinct_axis_values():
     """Six significant digits would print the three gamma values all as 0.5
     and the two wi values both as 0.123457."""
-    gamma = parse_sweep_values("0.5..0.5000001:0.00000005", "gamma_min")
-    wi = parse_sweep_values("0.1234567,0.1234568", "wi")
+    gamma = parse_sweep_values("0.5..0.5000001:0.00000005")
+    wi = parse_sweep_values("0.1234567,0.1234568")
     assert [format_axis_value(v) for v in gamma] == ["0.5", "0.50000005", "0.5000001"]
     assert [format_axis_value(v) for v in wi] == ["0.1234567", "0.1234568"]

@@ -526,6 +526,10 @@ def test_a_v1_model_file_still_loads(tmp_path):
     meta = model.train_meta
     assert (meta.C, meta.wi, meta.seed, meta.epochs) == (1.0, 0.9, 42, 0)
     assert math.isnan(meta.final_violation)
+    # the nan default is written as "violation nan", which loads again
+    save_model(path, model)
+    assert "violation nan\n" in path.read_text(encoding="utf-8")
+    assert math.isnan(load_model(path).train_meta.final_violation)
 
 
 def test_model_file_rejects_corruption(tmp_path):
@@ -558,7 +562,16 @@ def test_model_file_rejects_corruption(tmp_path):
      "invalid literal for int() with base 10: 'two'"),
     (lambda lines: lines[:-1], ":9", "expected 2 weights, found 1"),
     (lambda lines: lines + ["0.5"], ":11", "expected 2 weights, found more"),
-    (lambda lines: lines[:1] + ["K -1"] + lines[2:8], ":8", "model file truncated"),
+    (lambda lines: lines[:1] + ["K -1"] + lines[2:8], ":2", "K must be >= 0"),
+    (lambda lines: lines[:1] + ["K -5"] + lines[2:9], ":2", "K must be >= 0"),
+    (lambda lines: lines[:2] + ["C -1"] + lines[3:], ":4", "C must be positive"),
+    (lambda lines: lines[:2] + ["C nan"] + lines[3:], ":4", "C must be positive"),
+    (lambda lines: lines[:3] + ["wi 7"] + lines[4:], ":4", "wi must be in (0, 1]"),
+    (lambda lines: lines[:3] + ["wi inf"] + lines[4:], ":4", "wi must be in (0, 1]"),
+    (lambda lines: lines[:2] + ["C 1e-300", "wi 1e-300"] + lines[4:], ":4",
+     "C * wi underflows to 0"),
+    (lambda lines: lines[:6] + ["epochs -3"] + lines[7:], ":7", "epochs must be >= 0"),
+    (lambda lines: lines[:7] + ["violation -inf"] + lines[8:], ":8", "violation must be >= 0"),
     (lambda lines: lines[:5] + ["digest"] + lines[6:], ":6",
      "expected 'digest ...' line, got 'digest'"),
     (lambda lines: lines[:5] + ["digest d\te"] + lines[6:], ":6",
@@ -566,6 +579,8 @@ def test_model_file_rejects_corruption(tmp_path):
     (lambda lines: lines[:8] + ["x"] + lines[9:], ":9", "could not convert string to float: 'x'"),
     (lambda lines: lines[:-1] + ["nan"], ":10", "non-finite weight 'nan'"),
 ], ids=["header", "empty", "truncated", "key", "value", "count", "surplus", "negative-K",
+        "negative-K-one-weight", "negative-C", "nan-C", "wi-above-1", "infinite-wi",
+        "C-wi-underflow", "negative-epochs", "negative-violation",
         "bare-digest", "unsafe-digest", "weight", "non-finite"])
 def test_model_file_errors_name_the_file_and_line(tmp_path, edit, where, message):
     path = tmp_path / "model.txt"
