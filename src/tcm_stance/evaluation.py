@@ -65,11 +65,13 @@ def compute_metrics(pairs: Sequence[tuple[Stance, Stance]]) -> MetricsReport:
     """
     if not pairs:
         raise ValueError("no predictions to score")
+    golds, predicted = zip(*pairs)
+    hits = [gold for gold, pred in pairs if gold is pred]
     per_class: dict[Stance, ClassMetrics] = {}
     for cls in (Stance.SUPPORTING, Stance.OPPOSING):
-        tp = sum(1 for gold, pred in pairs if gold is cls and pred is cls)
-        fp = sum(1 for gold, pred in pairs if gold is not cls and pred is cls)
-        fn = sum(1 for gold, pred in pairs if gold is cls and pred is not cls)
+        tp = hits.count(cls)
+        fp = predicted.count(cls) - tp
+        fn = golds.count(cls) - tp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         per_class[cls] = ClassMetrics(precision, recall, _f1(precision, recall), tp, fp, fn)
@@ -208,8 +210,13 @@ def _run_plan(
 
 def score_predictions(predictions: Iterable[Prediction],
                       golds: dict[str, Stance]) -> MetricsReport:
-    """Metrics of predictions against the gold labels, by tweet_id."""
-    return compute_metrics([(golds[p.tweet_id], p.stance) for p in predictions])
+    """Metrics of predictions against the gold labels, by tweet_id; a
+    prediction whose tweet_id has no gold label is refused."""
+    try:
+        pairs = [(golds[p.tweet_id], p.stance) for p in predictions]
+    except KeyError as exc:
+        raise ValueError(f"no gold label for tweet_id {exc.args[0]!r}") from None
+    return compute_metrics(pairs)
 
 
 def _results(

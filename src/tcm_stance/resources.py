@@ -92,12 +92,7 @@ class TermList:
     @classmethod
     def of(cls, terms: Iterable[str]) -> "TermList":
         """Normalizing constructor: trims, drops empties, keeps first occurrence."""
-        cleaned: dict[str, None] = {}
-        for term in terms:
-            term = term.strip()
-            if term:
-                cleaned.setdefault(term, None)
-        return cls(tuple(cleaned))
+        return cls(tuple(dict.fromkeys(filter(None, map(str.strip, terms)))))
 
     def __contains__(self, term: object) -> bool:
         return term in self.members
@@ -255,8 +250,10 @@ def load_resources(paths: Mapping[str, str | Path] | None = None) -> Resources:
     terminology = load_term_list(resolved["terminology_lexicon"])
     stopwords = load_term_list(resolved["stopword_list"])
     ad_keywords = load_term_list(resolved["ad_keywords"])
-    segment_lexicon = TermList.of(chain(
-        load_term_list(resolved["segmentation_lexicon"]), terminology, stopwords, ad_keywords))
+    # the segmentation list is only ever used merged, so its lines feed the
+    # merged list directly rather than a TermList of their own
+    with located(resolved["segmentation_lexicon"]) as lines:
+        segment_lexicon = TermList.of(chain(_data_lines(lines), terminology, stopwords, ad_keywords))
     return Resources(
         char_map=load_char_map(resolved["char_map"]),
         segment_lexicon=segment_lexicon,

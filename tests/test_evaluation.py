@@ -27,6 +27,7 @@ from tcm_stance.evaluation import (
     format_axis_value,
     gamma_of,
     metrics_csv_rows,
+    score_predictions,
     stratified_kfold,
     sweep,
 )
@@ -93,6 +94,14 @@ def test_empty_pairs_are_rejected():
         compute_metrics([])
 
 
+def test_a_prediction_without_a_gold_label_is_refused():
+    golds = {"t1": S, "t2": O}
+    scored = score_predictions([Prediction("u1", "t1", S), Prediction("u2", "t2", S)], golds)
+    assert scored == compute_metrics([(S, S), (O, S)])
+    with pytest.raises(ValueError, match=r"^no gold label for tweet_id 't9'$"):
+        score_predictions([Prediction("u1", "t1", S), Prediction("u9", "t9", O)], golds)
+
+
 @given(st.lists(st.tuples(stance_st, stance_st), min_size=1, max_size=40))
 def test_micro_f1_equals_accuracy(pairs):
     report = compute_metrics(pairs)
@@ -102,6 +111,9 @@ def test_micro_f1_equals_accuracy(pairs):
         m = report.per_class[cls]
         for value in (m.precision, m.recall, m.f1):
             assert 0.0 <= value <= 1.0
+        assert (m.tp, m.fp, m.fn) == (sum(g is cls and p is cls for g, p in pairs),
+                                      sum(g is not cls and p is cls for g, p in pairs),
+                                      sum(g is cls and p is not cls for g, p in pairs))
 
 
 def balanced_dataset(n_pos: int, n_neg: int):

@@ -26,6 +26,7 @@ from tcm_stance.preprocess import read_documents, write_documents
 from tcm_stance.resources import (
     ResourceFormatError,
     load_char_map,
+    load_resources,
     load_tag_lexicon,
     load_term_list,
 )
@@ -59,6 +60,9 @@ STRICT_FILES = {
     "gold": (read_gold, _text("t1\tsupport", "t2\toppose")),
     "config": (parse_config_file, _text("# tuning", "K = 10", "C = 0.5", "leaky_selection = no")),
     "term-list": (load_term_list, _text("# terms", "中医", "针灸")),
+    # the segmentation lexicon, which load_resources reads into the merged list
+    "segmentation": (lambda path: load_resources({"segmentation_lexicon": path}),
+                     _text("# words", "中医药", "针灸")),
     "tag-lexicon": (load_tag_lexicon, _text("中医爱好\tsupport", "# against", "反中医\toppose")),
     "char-map": (load_char_map, _text("醫\t医", "藥\t药")),
 }

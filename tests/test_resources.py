@@ -9,6 +9,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_resources
 from oracles import reference_union
@@ -58,12 +60,54 @@ def test_term_list_lengths_per_first_character():
 
 
 def test_term_list_rejects_raw_duplicates_and_blanks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate term: '中医'$"):
         TermList(("中医", "中医"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bad term: ''$"):
         TermList(("",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bad term: ' 中医'$"):
         TermList((" 中医",))
+
+
+def _normalized_by_loop(terms: list[str]) -> tuple[str, ...]:
+    """Trim each term, drop empties, keep first occurrences, one at a time."""
+    cleaned: dict[str, None] = {}
+    for term in terms:
+        term = term.strip()
+        if term:
+            cleaned.setdefault(term, None)
+    return tuple(cleaned)
+
+
+_PADDING = st.sampled_from(["", " ", "\t", "\u3000", "\u2028", "\x1c", "\r\n", "\xa0"])
+
+
+@given(st.lists(st.one_of(
+    st.tuples(_PADDING, st.sampled_from(["中医", "针灸", "a", "中 医", "\u3000中"]), _PADDING)
+    .map("".join),
+    _PADDING,
+    st.text(max_size=4),
+), max_size=30))
+def test_term_list_of_equals_the_one_term_at_a_time_loop(terms):
+    assert TermList.of(terms).terms == _normalized_by_loop(terms)
+    with pytest.raises(TypeError):
+        TermList.of([*terms, 5])
+
+
+def test_load_resources_builds_one_term_list_per_list_it_returns(monkeypatch):
+    """The segmentation file feeds the merged lexicon without a TermList of
+    its own: four lists, the merged one included."""
+    built = []
+    post_init = TermList.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TermList, "__post_init__", counting)
+    resources = load_resources()
+    assert len(built) == 4
+    assert {id(terms) for terms in built} == {id(resources.segment_lexicon), id(resources.stopwords),
+                                              id(resources.ad_keywords), id(resources.terminology)}
 
 
 def _segmentation_lists(paths) -> list[TermList]:
