@@ -24,13 +24,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-# script -> its manifest, and the manifest's names that the script does not
-# write: the experiment manifest also pins the leaky cross-validation and
-# gamma sweep that tests/test_cli.py runs on the experiment's labeled set
-CHECKS = {
-    "run_experiment.py": ("experiment.sha256", frozenset({"leaky_cv.csv", "leaky_gamma.csv"})),
-    "run_sweeps.py": ("sweeps.sha256", frozenset()),
-}
+# script -> the manifest that pins every file it writes
+CHECKS = {"run_experiment.py": "experiment.sha256", "run_sweeps.py": "sweeps.sha256"}
 
 
 def read_manifest(path: Path) -> dict[str, str]:
@@ -42,39 +37,44 @@ def read_manifest(path: Path) -> dict[str, str]:
     return digests
 
 
-def compare(tree: Path, manifest: dict[str, str],
-            not_written: frozenset[str] = frozenset()) -> list[str]:
+def compare(tree: Path, manifest: dict[str, str]) -> list[str]:
     """One line per file under ``tree`` that the manifest does not list or
-    whose digest differs, and per listed name outside ``not_written`` that
-    ``tree`` lacks; none when the tree matches."""
+    whose digest differs, and per listed name that ``tree`` lacks; none when
+    the tree matches."""
     written = {f.relative_to(tree).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
                for f in tree.rglob("*") if f.is_file()}
     return sorted(
         [f"{name}: not in the manifest" for name in written.keys() - manifest.keys()]
         + [f"{name}: digest differs" for name in written.keys() & manifest.keys()
            if written[name] != manifest[name]]
-        + [f"{name}: not written" for name in manifest.keys() - written.keys() - not_written])
+        + [f"{name}: not written" for name in manifest.keys() - written.keys()])
+
+
+def run_script(python: str, script: str, hash_seed: str, out: Path) -> list[str]:
+    """Run ``script`` under ``python`` and ``PYTHONHASHSEED=hash_seed`` into
+    the new directory ``out``, and compare its tree with the script's
+    manifest: the last line of stderr on a non-zero exit, else ``compare``'s
+    lines."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hash_seed}
+    proc = subprocess.run([python, str(ROOT / "scripts" / script), "--outdir", str(out)],
+                          cwd=out.parent, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        return [f"exited {proc.returncode}: " + (proc.stderr.strip().splitlines() or [""])[-1]]
+    return compare(out, read_manifest(GOLDEN / CHECKS[script]))
 
 
 def check(python: str, script: str) -> bool:
-    """Run ``script`` under ``python`` and print how its tree compares."""
-    manifest_name, not_written = CHECKS[script]
+    """Run ``script`` under ``python`` with a random hash seed and print how
+    its tree compares."""
     hash_seed = str(random.randrange(2 ** 32))
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hash_seed}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        proc = subprocess.run([python, str(ROOT / "scripts" / script), "--outdir", str(out)],
-                              cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
-        if proc.returncode != 0:
-            problems = [f"exited {proc.returncode}: "
-                        + (proc.stderr.strip().splitlines() or [""])[-1]]
-        else:
-            problems = compare(out, read_manifest(GOLDEN / manifest_name), not_written)
+        problems = run_script(python, script, hash_seed, out)
         files = sum(1 for f in out.rglob("*") if f.is_file())
     status = f"{len(problems)} mismatched" if problems else "ok"
     print(f"{python}: {script}, PYTHONHASHSEED={hash_seed}: {files} files vs "
-          f"{manifest_name}: {status}", flush=True)
+          f"{CHECKS[script]}: {status}", flush=True)
     for problem in problems:
         print(f"  {problem}", flush=True)
     return not problems

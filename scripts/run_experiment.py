@@ -7,6 +7,13 @@ time-series and keyword reports.  Every artifact lands under --outdir.
 
 Some users are generated without profile tags (--tag-noise) so the predict
 stage has a real unlabeled remainder to work on.
+
+It also runs the leaky comparison on the same labeled set and seed: `cv` and
+a gamma sweep with --leaky-selection, which picks the chi-square features
+once on every labeled document instead of inside each fold (leaky_cv.csv,
+leaky_gamma.csv).  At the default K = 3000 both plans keep every selectable
+term of the default corpus, so leaky_cv.csv equals cv_metrics.csv; they
+differ only on a corpus with more selectable terms than K (ROADMAP item 7).
 """
 
 from __future__ import annotations
@@ -40,42 +47,29 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     seed = str(args.seed)
 
-    run([
-        "synth", "--out", str(out),
-        "--users-pos", str(args.users_pos), "--users-neg", str(args.users_neg),
-        "--tag-noise", str(args.tag_noise), "--seed", seed,
-    ])
-    run(["prep", "--tweets", str(out / "tweets.jsonl"), "--out", str(out / "docs.jsonl")])
-    run([
-        "label", "--docs", str(out / "docs.jsonl"), "--users", str(out / "users.jsonl"),
-        "--out", str(out / "labeled.jsonl"), "--remainder", str(out / "remainder.jsonl"),
-    ])
-    run([
-        "cv", "--labeled", str(out / "labeled.jsonl"),
-        "--out", str(out / "cv_metrics.csv"), "--seed", seed,
-    ])
-    run([
-        "train", "--labeled", str(out / "labeled.jsonl"),
-        "--model-out", str(out / "model.txt"), "--features-out", str(out / "features.tsv"),
-        "--seed", seed,
-    ])
-    run([
-        "predict", "--docs", str(out / "remainder.jsonl"), "--model", str(out / "model.txt"),
-        "--features", str(out / "features.tsv"), "--out", str(out / "predictions.tsv"),
-    ])
-    run([
-        "adjust", "--predictions", str(out / "predictions.tsv"),
-        "--out", str(out / "predictions_adjusted.tsv"),
-    ])
-    run([
-        "report-timeseries", "--predictions", str(out / "predictions_adjusted.tsv"),
-        "--granularity", "month",
-        "--out", str(out / "timeseries.csv"), "--svg", str(out / "timeseries.svg"),
-    ])
-    run([
-        "report-keywords", "--features", str(out / "features.tsv"),
-        "--top-n", "10", "--out", str(out / "keywords.csv"),
-    ])
+    def at(name: str) -> str:
+        return str(out / name)
+
+    run(["synth", "--out", str(out), "--users-pos", str(args.users_pos),
+         "--users-neg", str(args.users_neg), "--tag-noise", str(args.tag_noise), "--seed", seed])
+    run(["prep", "--tweets", at("tweets.jsonl"), "--out", at("docs.jsonl")])
+    run(["label", "--docs", at("docs.jsonl"), "--users", at("users.jsonl"),
+         "--out", at("labeled.jsonl"), "--remainder", at("remainder.jsonl")])
+    run(["cv", "--labeled", at("labeled.jsonl"), "--out", at("cv_metrics.csv"), "--seed", seed])
+    run(["cv", "--labeled", at("labeled.jsonl"), "--leaky-selection",
+         "--out", at("leaky_cv.csv"), "--seed", seed])
+    run(["sweep", "--axis", "gamma", "--values", "0.5..1.0:0.1", "--labeled", at("labeled.jsonl"),
+         "--leaky-selection", "--out", at("leaky_gamma.csv"), "--seed", seed])
+    run(["train", "--labeled", at("labeled.jsonl"), "--model-out", at("model.txt"),
+         "--features-out", at("features.tsv"), "--seed", seed])
+    run(["predict", "--docs", at("remainder.jsonl"), "--model", at("model.txt"),
+         "--features", at("features.tsv"), "--out", at("predictions.tsv")])
+    run(["adjust", "--predictions", at("predictions.tsv"),
+         "--out", at("predictions_adjusted.tsv")])
+    run(["report-timeseries", "--predictions", at("predictions_adjusted.tsv"),
+         "--granularity", "month", "--out", at("timeseries.csv"), "--svg", at("timeseries.svg")])
+    run(["report-keywords", "--features", at("features.tsv"), "--top-n", "10",
+         "--out", at("keywords.csv")])
     print(f"done; artifacts in {out}/", file=sys.stderr)
     return 0
 

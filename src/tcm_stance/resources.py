@@ -73,17 +73,19 @@ class TermList:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen = set()
         lengths: dict[str, set[int]] = {}
         for term in self.terms:
             if not isinstance(term, str) or not term or term != term.strip():
                 raise ValueError(f"bad term: {term!r}")
-            if term in seen:
-                raise ValueError(f"duplicate term: {term!r}")
-            seen.add(term)
             if len(term) > 1:
                 lengths.setdefault(term[0], set()).add(len(term))
         members = frozenset(self.terms)
+        if len(members) != len(self.terms):  # a repeat: name the first one
+            seen: set[str] = set()
+            for term in self.terms:
+                if term in seen:
+                    raise ValueError(f"duplicate term: {term!r}")
+                seen.add(term)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "kept", _Kept(members))
         object.__setattr__(self, "lengths_by_first_char", {

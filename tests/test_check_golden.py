@@ -1,17 +1,14 @@
-"""scripts/check_golden.py's compare step on a tiny tree; no pipeline runs."""
+"""scripts/check_golden.py's compare and run steps on tiny trees and a
+two-line script; no pipeline runs."""
 
 from __future__ import annotations
 
 import hashlib
-import importlib.util
-from pathlib import Path
+import sys
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_golden.py"
-_spec = importlib.util.spec_from_file_location("check_golden", SCRIPT)
-check_golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_golden)
+import check_golden
 
 
 @pytest.fixture
@@ -46,15 +43,38 @@ def test_an_unlisted_file_fails(tree):
     assert check_golden.compare(root, manifest) == ["sub/c.txt: not in the manifest"]
 
 
-def test_a_listed_file_not_written_fails_unless_the_script_never_writes_it(tree):
+def test_a_listed_file_missing_from_the_tree_fails(tree):
     root, manifest = tree
     (root / "sub" / "b.svg").unlink()
     assert check_golden.compare(root, manifest) == ["sub/b.svg: not written"]
-    assert check_golden.compare(root, manifest, frozenset({"sub/b.svg"})) == []
 
 
 def test_each_script_has_its_manifest():
-    for script, (manifest_name, not_written) in check_golden.CHECKS.items():
-        assert (SCRIPT.parent / script).is_file()
-        assert not_written <= check_golden.read_manifest(check_golden.GOLDEN / manifest_name).keys()
+    for script, manifest_name in check_golden.CHECKS.items():
+        assert (check_golden.ROOT / "scripts" / script).is_file()
+        assert check_golden.read_manifest(check_golden.GOLDEN / manifest_name)
+    assert len(check_golden.read_manifest(check_golden.GOLDEN / "experiment.sha256")) == 16
     assert len(check_golden.read_manifest(check_golden.GOLDEN / "sweeps.sha256")) == 11
+
+
+@pytest.mark.parametrize("body, hash_seed, problems", [
+    ("pass", "1", []),
+    ("pass", "2", ["a.txt: digest differs"]),
+    ("(out / 'b.txt').write_text('')", "1", ["b.txt: not in the manifest"]),
+    ("raise ValueError('boom')", "1", ["exited 1: ValueError: boom"]),
+], ids=["passes", "hash-seed-passed-on", "unlisted-file", "non-zero-exit"])
+def test_run_script_on_a_two_line_script(tmp_path, monkeypatch, body, hash_seed, problems):
+    """A fake tree whose one script writes its hash seed to a.txt and runs
+    ``body``; the manifest pins a.txt holding "1"."""
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "fake.py").write_text(
+        "import os, pathlib, sys; out = pathlib.Path(sys.argv[2]); out.mkdir()\n"
+        "(out / 'a.txt').write_text(os.environ['PYTHONHASHSEED']); " + body + "\n",
+        encoding="utf-8")
+    (tmp_path / "fake.sha256").write_text(f"{hashlib.sha256(b'1').hexdigest()}  a.txt\n",
+                                          encoding="utf-8")
+    monkeypatch.setattr(check_golden, "ROOT", tmp_path)
+    monkeypatch.setattr(check_golden, "GOLDEN", tmp_path)
+    monkeypatch.setattr(check_golden, "CHECKS", {"fake.py": "fake.sha256"})
+    out = tmp_path / "out"
+    assert check_golden.run_script(sys.executable, "fake.py", hash_seed, out) == problems

@@ -6,7 +6,6 @@ import argparse
 import codecs
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
@@ -15,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,6 +22,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import check_golden
 from conftest import TS, make_doc, separable_dataset
 from tcm_stance.cli import (
     MAX_SWEEP_VALUES,
@@ -495,52 +496,17 @@ def test_report_commands_echo_the_csv_and_write_a_chart_only_when_asked(
             ET.fromstring(chart.read_text(encoding="utf-8"))
 
 
-# "<sha256>  <path>" per artifact of the test below, as `sha256sum` writes
-# them in its first output directory.  A change that alters an artifact on
-# purpose rewrites this file in the same commit.
-EXPERIMENT_DIGESTS = Path(__file__).resolve().parent / "golden" / "experiment.sha256"
-
-
 def test_experiment_output_does_not_depend_on_the_hash_seed(tmp_path):
-    """Two processes with different string hashing (so different set and
-    hash orders) write identical artifacts: the experiment's, and those of
-    the leaky cross-validation and gamma sweep on its labeled set, which no
-    script runs."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
-    envs = {hash_seed: {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
-                        "PYTHONHASHSEED": hash_seed}
-            for hash_seed in ("1", "2")}
-
-    def run_all(commands):
-        procs = [subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.PIPE) for argv, env in commands]
-        for proc in procs:
-            _, err = proc.communicate(timeout=300)
-            assert proc.returncode == 0, err.decode("utf-8", "replace")
-
-    outdirs = {hash_seed: tmp_path / f"hashseed_{hash_seed}" for hash_seed in envs}
-    run_all([([sys.executable, str(script), "--outdir", str(outdirs[h])], envs[h])
-             for h in envs])
-    cli = [sys.executable, "-m", "tcm_stance"]
-    run_all([(cli + step + ["--labeled", str(outdirs[h] / "labeled.jsonl"), "--leaky-selection",
-                            "--out", str(outdirs[h] / csv_name)], envs[h])
-             for h in envs
-             for step, csv_name in ((["cv"], "leaky_cv.csv"),
-                                    (["sweep", "--axis", "gamma", "--values", "0.5..1.0:0.1"],
-                                     "leaky_gamma.csv"))])
-    trees = [{f.relative_to(outdir).as_posix(): f.read_bytes()
-              for f in outdir.rglob("*") if f.is_file()} for outdir in outdirs.values()]
-    first, second = trees
-    assert sorted(first) == sorted(second)
-    assert len(first) == 16
-    assert [name for name in sorted(first) if first[name] != second[name]] == []
-    # and both equal the committed digests, so a change that moves every run
-    # alike fails too
-    golden = dict(reversed(line.split("  ", 1)) for line in
-                  EXPERIMENT_DIGESTS.read_text(encoding="utf-8").splitlines())
-    assert sorted(golden) == sorted(first)
-    assert [name for name in sorted(first)
-            if hashlib.sha256(first[name]).hexdigest() != golden[name]] == []
+    """Under two string-hashing seeds (so two set and hash orders) the
+    experiment script writes exactly the files of tests/golden/experiment.sha256,
+    each with its pinned digest.  A change that alters an artifact on purpose
+    rewrites that manifest in the same commit.  The two runs overlap, as two
+    processes."""
+    def run(hash_seed: str) -> list[str]:
+        return check_golden.run_script(sys.executable, "run_experiment.py", hash_seed,
+                                       tmp_path / hash_seed)
+    with ThreadPoolExecutor(2) as pool:
+        assert list(pool.map(run, ("1", "2"))) == [[], []]
 
 
 def test_parse_sweep_values():

@@ -66,6 +66,12 @@ def test_term_list_rejects_raw_duplicates_and_blanks():
         TermList(("",))
     with pytest.raises(ValueError, match="^bad term: ' 中医'$"):
         TermList((" 中医",))
+    # the first term that repeats an earlier one is named
+    with pytest.raises(ValueError, match="^duplicate term: 'b'$"):
+        TermList(("a", "b", "b", "a"))
+    # every term is checked before any duplicate is looked for
+    with pytest.raises(ValueError, match="^bad term: 'c '$"):
+        TermList(("a", "a", "c "))
 
 
 def _normalized_by_loop(terms: list[str]) -> tuple[str, ...]:
