@@ -68,8 +68,6 @@ _MODEL_HEADER = "stance-svm v2"
 _MODEL_VALUES = {"K": int, "C": float, "wi": float, "seed": int,
                  "digest": lambda text: text and check_id("digest", text),
                  "epochs": int, "violation": float}
-# header line -> the "key value" lines that follow it; v1 lacks the last two
-_MODEL_KEYS = {"stance-svm v1": tuple(_MODEL_VALUES)[:5], _MODEL_HEADER: tuple(_MODEL_VALUES)}
 
 
 @dataclass(frozen=True)
@@ -481,18 +479,17 @@ def _header_value(line: str, key: str) -> str:
 
 
 def load_model(path: str | Path) -> Model:
-    """Read a saved model, v2 or v1.  A v1 file stores no convergence record,
-    so its model reports 0 epochs and a nan violation.  Every error names the
-    file, and the line unless the file is empty."""
+    """Read a model file that save_model wrote.  Every error names the file,
+    and the line unless the file is empty."""
     with located(path) as lines:
         rows = iter(lines)
         header = next(rows, "")
-        if header not in _MODEL_KEYS:
+        if header != _MODEL_HEADER:
             raise ValueError(f"not a model file (bad header {header!r})")
         head: dict[str, Any] = {}
-        for key, line in zip(_MODEL_KEYS[header], rows):
+        for key, line in zip(_MODEL_VALUES, rows):
             value = head[key] = _MODEL_VALUES[key](_header_value(line, key))
-            if key in ("K", "epochs", "violation") and value < 0:  # a nan violation loads
+            if key in ("K", "epochs", "violation") and not value >= 0:  # nan too
                 raise ValueError(f"{key} must be >= 0")
             if key == "wi":  # C and wi are held to TrainConfig's own checks
                 TrainConfig(head["C"], value)
@@ -508,6 +505,5 @@ def load_model(path: str | Path) -> Model:
             raise ValueError("model file truncated")
         if len(weights) != head["K"] + 1:
             raise ValueError(f"expected {head['K'] + 1} weights, found {len(weights)}")
-    meta = TrainMeta(head["C"], head["wi"], head["seed"],
-                     head.get("epochs", 0), head.get("violation", math.nan))
+    meta = TrainMeta(head["C"], head["wi"], head["seed"], head["epochs"], head["violation"])
     return Model(tuple(weights), head["digest"], meta)

@@ -356,11 +356,13 @@ def test_load_users_counts_malformed(tmp_path):
         json.dumps({"user_id": "u2", "tags": "not-a-list"}),
         json.dumps({"user_id": "u3", "tags": ["ok", 7]}),
         "garbage",
+        "[1]",
+        '"u9"',
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     users, skipped = load_users(path)
     assert [u.user_id for u in users] == ["u1"]
-    assert skipped == 4
+    assert skipped == 6
 
 
 def test_load_users_skips_and_counts_invalid_utf8(tmp_path):

@@ -164,6 +164,9 @@ def test_select_features_clamps_k():
     assert len(select_features(_stats_corpus(), 500)) == 5
     with pytest.raises(ValueError):
         select_features(_stats_corpus(), 0)
+    docs = (make_doc("t1", "u1", ("a",), Stance.SUPPORTING),)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        fold_rankings(docs, [()], 0)
 
 
 def test_feature_set_index_and_duplicates():

@@ -516,22 +516,6 @@ def test_model_file_keeps_an_infinite_violation(tmp_path):
     assert load_model(path).train_meta == model.train_meta
 
 
-def test_a_v1_model_file_still_loads(tmp_path):
-    path = tmp_path / "model.txt"
-    path.write_text("stance-svm v1\nK 2\nC 1\nwi 0.90000000000000002\nseed 42\n"
-                    "digest abc\n0.5\n-1.5\n0.25\n", encoding="utf-8")
-    model = load_model(path)
-    assert model.weights == (0.5, -1.5, 0.25)
-    assert model.feature_set_digest == "abc"
-    meta = model.train_meta
-    assert (meta.C, meta.wi, meta.seed, meta.epochs) == (1.0, 0.9, 42, 0)
-    assert math.isnan(meta.final_violation)
-    # the nan default is written as "violation nan", which loads again
-    save_model(path, model)
-    assert "violation nan\n" in path.read_text(encoding="utf-8")
-    assert math.isnan(load_model(path).train_meta.final_violation)
-
-
 def test_model_file_rejects_corruption(tmp_path):
     model = train(two_points(), UNWEIGHTED, 1)
     path = tmp_path / "model.txt"
@@ -547,14 +531,14 @@ def test_model_file_rejects_corruption(tmp_path):
     with pytest.raises(ValueError, match="weights"):
         load_model(bad)
 
-    for header in ("stance-svm v1", "stance-svm v2"):
-        bad.write_text(header + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="truncated"):
-            load_model(bad)
+    bad.write_text("stance-svm v2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="truncated"):
+        load_model(bad)
 
 
 @pytest.mark.parametrize("edit, where, message", [
     (lambda lines: ["stance-svm v9"] + lines[1:], ":1", "not a model file (bad header 'stance-svm v9')"),
+    (lambda lines: ["stance-svm v1"] + lines[1:], ":1", "not a model file (bad header 'stance-svm v1')"),
     (lambda lines: [], "", "not a model file (bad header '')"),
     (lambda lines: lines[:3], ":3", "model file truncated"),
     (lambda lines: lines[:2] + ["C=1"] + lines[3:], ":3", "expected 'C ...' line, got 'C=1'"),
@@ -572,15 +556,16 @@ def test_model_file_rejects_corruption(tmp_path):
      "C * wi underflows to 0"),
     (lambda lines: lines[:6] + ["epochs -3"] + lines[7:], ":7", "epochs must be >= 0"),
     (lambda lines: lines[:7] + ["violation -inf"] + lines[8:], ":8", "violation must be >= 0"),
+    (lambda lines: lines[:7] + ["violation nan"] + lines[8:], ":8", "violation must be >= 0"),
     (lambda lines: lines[:5] + ["digest"] + lines[6:], ":6",
      "expected 'digest ...' line, got 'digest'"),
     (lambda lines: lines[:5] + ["digest d\te"] + lines[6:], ":6",
      "digest contains a tab, a line break or a lone surrogate"),
     (lambda lines: lines[:8] + ["x"] + lines[9:], ":9", "could not convert string to float: 'x'"),
     (lambda lines: lines[:-1] + ["nan"], ":10", "non-finite weight 'nan'"),
-], ids=["header", "empty", "truncated", "key", "value", "count", "surplus", "negative-K",
-        "negative-K-one-weight", "negative-C", "nan-C", "wi-above-1", "infinite-wi",
-        "C-wi-underflow", "negative-epochs", "negative-violation",
+], ids=["header", "v1-header", "empty", "truncated", "key", "value", "count", "surplus",
+        "negative-K", "negative-K-one-weight", "negative-C", "nan-C", "wi-above-1", "infinite-wi",
+        "C-wi-underflow", "negative-epochs", "negative-violation", "nan-violation",
         "bare-digest", "unsafe-digest", "weight", "non-finite"])
 def test_model_file_errors_name_the_file_and_line(tmp_path, edit, where, message):
     path = tmp_path / "model.txt"
