@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 from itertools import starmap
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import evaluation, reports, svm, synth
 from .config import (
@@ -101,27 +101,19 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# predictions TSV: one PredictionRow per line
+# predictions TSV: one evaluation.Prediction per line, every field set
 
-class PredictionRow(NamedTuple):
-    tweet_id: str
-    user_id: str
-    created_at: str  # canonical timestamp text
-    stance: Stance
-    margin: float
-
-
-def _prediction_line(tweet_id: str, user_id: str, created_at: str, stance: Stance,
+def _prediction_line(user_id: str, tweet_id: str, stance: Stance, created_at: str,
                      margin: float) -> str:
     return f"{tweet_id}\t{user_id}\t{created_at}\t{stance.wire}\t{margin:.6f}\n"
 
 
-def write_predictions_tsv(path: Path, rows: Iterable[PredictionRow]) -> None:
+def write_predictions_tsv(path: Path, rows: Iterable[evaluation.Prediction]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(starmap(_prediction_line, rows))
 
 
-def iter_predictions_tsv(path: Path) -> Iterator[PredictionRow]:
+def iter_predictions_tsv(path: Path) -> Iterator[evaluation.Prediction]:
     """Stream the rows of a predictions TSV; a bad line (the ids follow the
     documents file's rule, and the margin is finite) stops the stream with
     ``path:line``."""
@@ -130,15 +122,17 @@ def iter_predictions_tsv(path: Path) -> Iterator[PredictionRow]:
             parts = line.split("\t")
             if len(parts) != 5:
                 raise ValueError("expected 5 tab-separated fields")
-            row = PredictionRow(check_id("tweet_id", parts[0]), check_id("user_id", parts[1]),
-                                canonical_timestamp(parts[2]), Stance.from_wire(parts[3]),
-                                float(parts[4]))
+            # checked in column order, built in record order
+            tweet_id, user_id = check_id("tweet_id", parts[0]), check_id("user_id", parts[1])
+            created_at = canonical_timestamp(parts[2])
+            row = evaluation.Prediction(user_id, tweet_id, Stance.from_wire(parts[3]),
+                                        created_at, float(parts[4]))
             if not math.isfinite(row.margin):
                 raise ValueError("margin must be a finite number")
             yield row
 
 
-def read_predictions_tsv(path: Path) -> list[PredictionRow]:
+def read_predictions_tsv(path: Path) -> list[evaluation.Prediction]:
     return list(iter_predictions_tsv(path))
 
 
@@ -311,7 +305,7 @@ def cmd_predict(args: argparse.Namespace) -> None:
         stance, margin = svm.score(weights, presence_columns(tokens, index))
         n_docs += 1
         n_support += stance is Stance.SUPPORTING
-        out += _prediction_line(tweet_id, user_id, created_at, stance, margin).encode("utf-8")
+        out += _prediction_line(user_id, tweet_id, stance, created_at, margin).encode("utf-8")
     args.out.write_bytes(out)
     _info(
         f"predict: {n_docs} documents, {n_support} support / "

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .features import (
     DEFAULT_FEATURE_COUNT,
@@ -93,13 +93,10 @@ def stratified_kfold(
     ``random.Random(seed).shuffle`` gives without depending on it."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    by_class: dict[Stance, list[int]] = {Stance.SUPPORTING: [], Stance.OPPOSING: []}
-    for i, doc in enumerate(dataset.documents):
-        by_class[doc.label].append(i)
     rng = random.Random(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     for cls in (Stance.SUPPORTING, Stance.OPPOSING):
-        idxs = list(by_class[cls])
+        idxs = [i for i, doc in enumerate(dataset.documents) if doc.label is cls]
         if len(idxs) < k:
             raise ValueError(f"class {cls.wire} has fewer than k={k} examples")
         shuffle(rng, idxs)
@@ -115,9 +112,14 @@ def stratified_kfold(
 
 
 class Prediction(NamedTuple):
+    """One predicted stance.  A predictions TSV line also carries the
+    canonical ``created_at`` text and the margin; CV leaves both None."""
+
     user_id: str
     tweet_id: str
     stance: Stance
+    created_at: Optional[str] = None
+    margin: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -256,17 +258,14 @@ def gamma_of(count_support: int, count_oppose: int) -> float:
     return max(count_support, count_oppose) / total
 
 
-_Record = TypeVar("_Record", bound=tuple)  # a Prediction or a cli.PredictionRow
-
-
-def adjust(predictions: Sequence[_Record], gamma_min: float) -> list[_Record]:
+def adjust(predictions: Sequence[Prediction], gamma_min: float) -> list[Prediction]:
     """Snap each sufficiently consistent user to their majority stance, over
-    named tuples with ``user_id`` and ``stance`` fields.
+    Predictions, from cross-validation or read from a predictions TSV.
 
     A user qualifies when a strict majority exists (gamma > 0.5) and the
-    majority share reaches gamma_min.  A record whose stance changes comes
-    back as ``r._replace(stance=...)``; every other record comes back as the
-    same object.  Idempotent; never flips a majority.
+    majority share reaches gamma_min.  A Prediction whose stance changes
+    comes back as ``p._replace(stance=...)``; every other one comes back as
+    the same object.  Idempotent; never flips a majority.
     """
     if not 0.5 <= gamma_min <= 1.0:
         raise ValueError("gamma_min must be in [0.5, 1.0]")

@@ -55,10 +55,8 @@ class LabeledDataset:
                 raise ValueError(f"user {doc.user_id} carries conflicting labels")
 
     def class_counts(self) -> dict[Stance, int]:
-        counts = {Stance.SUPPORTING: 0, Stance.OPPOSING: 0}
-        for doc in self.documents:
-            counts[doc.label] += 1
-        return counts
+        labels = [doc.label for doc in self.documents]
+        return {cls: labels.count(cls) for cls in (Stance.SUPPORTING, Stance.OPPOSING)}
 
 
 def label_corpus(

@@ -35,7 +35,7 @@ from tcm_stance.cli import (
 )
 from tcm_stance.config import PipelineConfig, build_config, parse_config_file
 from tcm_stance.corpus import load_tweets, split_retweets
-from tcm_stance.evaluation import sweep, sweep_values
+from tcm_stance.evaluation import Prediction, adjust, sweep, sweep_values
 from tcm_stance.features import collect_stats, load_feature_set
 from tcm_stance.preprocess import preprocess_tweet, read_documents, write_documents
 from tcm_stance.stance import Stance
@@ -300,8 +300,6 @@ def test_predictions_cover_the_remainder(pipeline):
 
 
 def test_adjust_command_applies_library_semantics(pipeline):
-    from tcm_stance.evaluation import adjust
-
     # whole rows: every column but the stance survives untouched
     assert read_predictions_tsv(pipeline["adjusted"]) == adjust(
         read_predictions_tsv(pipeline["preds"]), 0.6)
@@ -772,15 +770,19 @@ def test_every_subcommand_prints_help(monkeypatch, capsys):
 
 def test_predictions_tsv_round_trip(tmp_path):
     rows = [
-        ("t1", "u1", "2013-02-03T04:05:06", Stance.SUPPORTING, 1.25),
-        ("t2", "u2", "2013-03-04T05:06:07", Stance.OPPOSING, -0.333333),
+        ("u1", "t1", Stance.SUPPORTING, "2013-02-03T04:05:06", 1.25),
+        ("u2", "t2", Stance.OPPOSING, "2013-03-04T05:06:07", -0.333333),
     ]
     path = tmp_path / "preds.tsv"
     write_predictions_tsv(path, rows)
     back = read_predictions_tsv(path)
     assert back == rows
+    assert all(isinstance(row, Prediction) for row in back)
+    adjusted = adjust(back, 1.0)
+    assert all(after is before for after, before in zip(adjusted, back))
     text = path.read_text(encoding="utf-8")
-    assert "1.250000" in text and "-0.333333" in text
+    assert text.startswith("t1\tu1\t2013-02-03T04:05:06\tsupport\t1.250000\n")
+    assert "-0.333333" in text
 
 
 # ids that a str.splitlines() reader would cut in two, and one that a
@@ -813,8 +815,8 @@ def test_ids_with_other_line_separators_pass_every_stage(tmp_path):
     assert rest_ids[-len(_LINE_BREAKING_IDS):] == _LINE_BREAKING_IDS
     for name in ("preds.tsv", "adjusted.tsv"):
         rows = read_predictions_tsv(tmp_path / name)
-        assert [row[0] for row in rows] == rest_ids, name
-        assert {row[1] for row in rows[-len(_LINE_BREAKING_IDS):]} == {"nobody"}, name
+        assert [row.tweet_id for row in rows] == rest_ids, name
+        assert {row.user_id for row in rows[-len(_LINE_BREAKING_IDS):]} == {"nobody"}, name
 
     # CRLF line ends: the same features and predictions, so the same outputs
     for name in ("features.tsv", "preds.tsv"):

@@ -31,7 +31,7 @@ from tcm_stance.evaluation import (
     stratified_kfold,
     sweep,
 )
-from tcm_stance.cli import PredictionRow, parse_sweep_values
+from tcm_stance.cli import parse_sweep_values
 from tcm_stance.corpus import format_timestamp
 from tcm_stance.features import collect_stats, select_features
 from tcm_stance.stance import Stance
@@ -196,16 +196,16 @@ def preds(*rows) -> list[Prediction]:
     return [Prediction(uid, f"t{i}", s) for i, (uid, s) in enumerate(rows)]
 
 
-def prediction_rows(*rows) -> list[PredictionRow]:
+def prediction_rows(*rows) -> list[Prediction]:
     """The same (user, stance) draws as predictions TSV rows, each with its
     own time and margin."""
     start = datetime(2013, 5, 17, 12)
-    return [PredictionRow(f"t{i}", uid, format_timestamp(start + timedelta(minutes=i)), s,
-                          (i if s is S else -i) / 8)
+    return [Prediction(uid, f"t{i}", s, format_timestamp(start + timedelta(minutes=i)),
+                       (i if s is S else -i) / 8)
             for i, (uid, s) in enumerate(rows)]
 
 
-# the record shapes adjust is given: CV predictions and predictions TSV rows
+# the Predictions adjust is given: from CV (three fields) and from a predictions TSV (five)
 RECORD_SHAPES = (preds, prediction_rows)
 
 
