@@ -243,9 +243,11 @@ def reference_shrinking_solve_dual(
 ) -> DualSolution:
     """The shrinking solver as first written: every row holds the bias slot
     as a column, each kept example is appended to a list on every visit,
-    and the passes draw their orders with the library's shuffle.  Its
-    iterates, and so its whole DualSolution, are what ``solve_dual`` must
-    reproduce bit for bit."""
+    and the passes draw their orders with the library's shuffle.  An
+    example at a bound shrinks when its gradient points out of the box past
+    the threshold or, in a shrinking pass (finite threshold), is exactly 0.
+    Its iterates, and so its whole DualSolution, are what ``solve_dual``
+    must reproduce bit for bit."""
     if not data:
         raise ValueError("empty training set")
     _check_labels(data)
@@ -309,12 +311,12 @@ def reference_shrinking_solve_dual(
                 raise FloatingPointError("non-finite gradient during training")
             a = alphas[i]
             if a <= 0.0:
-                if g > threshold:
+                if g > threshold or (g == 0.0 and threshold < math.inf):
                     shrunk.append(i)
                     continue
                 pg = g if g < 0.0 else 0.0
             elif a >= u:
-                if -g > threshold:
+                if -g > threshold or (g == 0.0 and threshold < math.inf):
                     shrunk.append(i)
                     continue
                 pg = g if g > 0.0 else 0.0

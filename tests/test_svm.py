@@ -167,8 +167,32 @@ def dual_problems(draw):
     return data, n_features, cfg, draw(st.booleans())
 
 
+@st.composite
+def repetitive_problems(draw):
+    """Few distinct (vector, label) pairs, each repeated many times; the
+    empty vector is always in the pool, so some rows carry the bias alone."""
+    n_features = draw(st.integers(1, 4))
+    pool = [SparseVector(())] + draw(st.lists(sparse_vectors(n_features, draw(st.booleans())),
+                                              max_size=3))
+    data = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([1, -1])),
+                         min_size=10, max_size=40))
+    if len({y for _, y in data}) == 1:
+        data.append((data[0][0], -data[0][1]))
+    cfg = TrainConfig(C=draw(st.sampled_from([0.1, 1.0, 4.0])),
+                      wi=draw(st.sampled_from([0.2, 0.9, 1.0])),
+                      max_epochs=draw(st.sampled_from([1, 3, 1000])), seed=draw(st.integers(0, 9)))
+    return data, n_features, cfg, draw(st.booleans())
+
+
+def converging(problems):
+    """The same problems, held to the tight tolerance and high epoch cap of
+    ``dual_problems``, so that every fit converges."""
+    return problems.map(lambda p: (*p[:2], replace(p[2], tolerance=1e-8, max_epochs=100000),
+                                   p[3]))
+
+
 @settings(max_examples=150, deadline=None)
-@given(dual_problems())
+@given(st.one_of(dual_problems(), converging(repetitive_problems())))
 @example(([(vec(), 1), (vec((0, -1.5)), 1), (vec((0, -1.5)), -1), (vec(), -1)], 1,
           TrainConfig(C=1.0, wi=0.3, tolerance=1e-8, max_epochs=100000), False))
 @example(([(vec((0, 1), (1, 1)), 1)] * 3 + [(vec((0, 1)), -1), (vec(), 1)], 2,
@@ -262,23 +286,6 @@ class IdentityTuple(tuple):
 
     def __ne__(self, other):
         return self is not other
-
-
-@st.composite
-def repetitive_problems(draw):
-    """Few distinct (vector, label) pairs, each repeated many times; the
-    empty vector is always in the pool, so some rows carry the bias alone."""
-    n_features = draw(st.integers(1, 4))
-    pool = [SparseVector(())] + draw(st.lists(sparse_vectors(n_features, draw(st.booleans())),
-                                              max_size=3))
-    data = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([1, -1])),
-                         min_size=10, max_size=40))
-    if len({y for _, y in data}) == 1:
-        data.append((data[0][0], -data[0][1]))
-    cfg = TrainConfig(C=draw(st.sampled_from([0.1, 1.0, 4.0])),
-                      wi=draw(st.sampled_from([0.2, 0.9, 1.0])),
-                      max_epochs=draw(st.sampled_from([1, 3, 1000])), seed=draw(st.integers(0, 9)))
-    return data, n_features, cfg, draw(st.booleans())
 
 
 @settings(max_examples=100, deadline=None)
